@@ -9,11 +9,14 @@
 //                    (plain runtime-width inner loops, implemented in this
 //                    file); the gated baseline, isolating what the blocked
 //                    dispatch + SIMD annotation buy;
-//       vector_ms  — `width` single-vector kernel calls (the per-class
-//                    engine's cost shape); informational, showing where the
-//                    one-structure-pass panel form overtakes it.
+//       vector_ms  — `width` vector calls (the per-class schedule's cost
+//                    shape): single-vector SparseMatrix kernels, or
+//                    width-1 panel calls where the panel form is the only
+//                    one (ContractMode1Panel, ApplyPanel); informational,
+//                    showing where the one-structure-pass panel form
+//                    overtakes it.
 //   * "fused-epilogue comparison" — the fused combine + normalize/residual
-//     passes of the batched fit engine against the unfused sweep sequence
+//     passes of the panel solver against the unfused sweep sequence
 //     they replaced (scale, two axpys, L1 normalize, L1 distances).
 //
 // Both tables are recorded in the TMARK_BENCH_JSON dump and gated by
@@ -79,8 +82,8 @@ la::Vector MakeProb(std::size_t n, std::size_t salt) {
   return v;
 }
 
-// Panels are built with exactly `width` physical columns — the batched
-// engine's layout when all q classes are active (stride == width). A wider
+// Panels are built with exactly `width` physical columns — the fit's
+// panel layout when all q classes are active (stride == width). A wider
 // stride would charge the small-width rows for cache lines they never use.
 la::DenseMatrix MakeProbPanel(std::size_t rows, std::size_t width,
                               std::size_t salt) {
@@ -95,6 +98,15 @@ la::DenseMatrix MakeProbPanel(std::size_t rows, std::size_t width,
 std::vector<la::Vector> PanelColumns(const la::DenseMatrix& panel) {
   std::vector<la::Vector> cols;
   for (std::size_t c = 0; c < panel.cols(); ++c) cols.push_back(panel.Col(c));
+  return cols;
+}
+
+std::vector<la::DenseMatrix> ColumnPanels(const la::DenseMatrix& panel) {
+  std::vector<la::DenseMatrix> cols;
+  for (std::size_t c = 0; c < panel.cols(); ++c) {
+    cols.emplace_back(panel.rows(), 1);
+    cols.back().data() = panel.Col(c);
+  }
   return cols;
 }
 
@@ -260,7 +272,11 @@ struct Fixture {
   hin::FeatureSimilarity sim = hin::FeatureSimilarity::Build(features);
   ScalarSimilarity scalar_sim = ScalarSimilarity::Build(features);
   la::DenseMatrix xp, yp, zp, node_out, sim_u, sim_t;
-  std::vector<la::Vector> xcols, ycols, zcols;
+  std::vector<la::Vector> xcols, ycols;
+  // Width-1 panels of xp / zp's columns (an n x 1 panel's storage is the
+  // column vector itself).
+  std::vector<la::DenseMatrix> xcol_panels, zcol_panels;
+  la::DenseMatrix col_out = la::DenseMatrix(kNodes, 1);
   la::Vector vec_out;
   la::Vector bilinear_out = la::Vector(kMaxWidth);
   la::PanelWorkspace ws;
@@ -271,7 +287,8 @@ struct Fixture {
     zp = MakeProbPanel(kRelations, width, 60);
     xcols = PanelColumns(xp);
     ycols = PanelColumns(yp);
-    zcols = PanelColumns(zp);
+    xcol_panels = ColumnPanels(xp);
+    zcol_panels = ColumnPanels(zp);
     node_out = la::DenseMatrix(kNodes, width);
     sim_u = la::DenseMatrix(kNodes, width);
     sim_t = la::DenseMatrix(kVocab, width);
@@ -290,7 +307,7 @@ struct KernelRow {
   void (*scalar_fn)(Fixture&, std::size_t width);
   // Runs the blocked library panel kernel (gated against scalar_fn).
   void (*blocked_fn)(Fixture&, std::size_t width);
-  // Runs `width` single-vector kernel calls (informational).
+  // Runs `width` vector calls (informational).
   void (*vector_fn)(Fixture&, std::size_t width);
 };
 
@@ -338,7 +355,8 @@ const KernelRow kKernelRows[] = {
      },
      [](Fixture& f, std::size_t w) {
        for (std::size_t c = 0; c < w; ++c) {
-         f.tensor.ContractMode1Into(f.xcols[c], f.zcols[c], &f.vec_out);
+         f.tensor.ContractMode1Panel(f.xcol_panels[c], f.zcol_panels[c], 1,
+                                     &f.col_out, &f.ws);
        }
      }},
     {"similarity_apply_panel",
@@ -350,7 +368,7 @@ const KernelRow kKernelRows[] = {
      },
      [](Fixture& f, std::size_t w) {
        for (std::size_t c = 0; c < w; ++c) {
-         f.sim.ApplyInto(f.xcols[c], &f.ws, &f.vec_out);
+         f.sim.ApplyPanel(f.xcol_panels[c], 1, &f.col_out, &f.ws);
        }
      }},
 };
@@ -401,7 +419,7 @@ void RunKernelMicrobench() {
             << kRelations << " relations, min over "
             << std::max(1, bench::BenchTimer::Repeats())
             << " repeats; scalar_ms = unblocked panel reference, vector_ms = "
-               "width single-vector calls, speedup = scalar/blocked)\n";
+               "width vector calls, speedup = scalar/blocked)\n";
   table.Print(std::cout);
   if (bench::BenchObsSession* session = bench::BenchObsSession::active()) {
     session->RecordTable(

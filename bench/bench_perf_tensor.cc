@@ -9,6 +9,7 @@
 #include "bench/common.h"
 
 #include "tmark/common/random.h"
+#include "tmark/la/panel.h"
 #include "tmark/tensor/transition_tensors.h"
 
 namespace {
@@ -35,10 +36,14 @@ void BM_ApplyO(benchmark::State& state) {
   const std::size_t d = 8 * n;  // D scales linearly with n
   const tensor::TransitionTensors t =
       tensor::TransitionTensors::Build(RandomTensor(n, m, d, 7));
-  const la::Vector x = la::UniformProbability(n);
-  const la::Vector z = la::UniformProbability(m);
+  // Width-1 panels: the vector case.
+  const la::DenseMatrix x(n, 1, 1.0 / static_cast<double>(n));
+  const la::DenseMatrix z(m, 1, 1.0 / static_cast<double>(m));
+  la::DenseMatrix y(n, 1);
+  la::PanelWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(t.ApplyO(x, z));
+    t.ApplyOPanel(x, z, 1, &y, &ws);
+    benchmark::DoNotOptimize(y);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(d));
@@ -51,9 +56,12 @@ void BM_ApplyR(benchmark::State& state) {
   const std::size_t d = 8 * n;
   const tensor::TransitionTensors t =
       tensor::TransitionTensors::Build(RandomTensor(n, m, d, 11));
-  const la::Vector x = la::UniformProbability(n);
+  const la::DenseMatrix x(n, 1, 1.0 / static_cast<double>(n));
+  la::DenseMatrix w(m, 1);
+  la::PanelWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(t.ApplyR(x, x));
+    t.ApplyRPanel(x, x, 1, &w, &ws);
+    benchmark::DoNotOptimize(w);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(d));

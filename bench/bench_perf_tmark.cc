@@ -3,9 +3,9 @@
 //   * runtime scales linearly in nodes (D ~ n for fixed density),
 //   * linearly in the number of classes q,
 //   * the ICA update (T-Mark) costs little over TensorRrCc,
-//   * the batched panel engine is at least as fast per iteration as the
-//     per-class engine (docs/PERFORMANCE.md; gated by
-//     scripts/check_fit_engine.py).
+//   * one width-q panel solve is at least as fast per column-iteration as
+//     the per-class schedule of q width-1 solves (docs/PERFORMANCE.md;
+//     gated by scripts/check_fit_engine.py).
 //
 // Besides the google-benchmark timings, main() always runs the fit-engine
 // comparison on the DBLP synthetic preset and records it as the
@@ -108,31 +108,63 @@ void BM_StratifiedSplit(benchmark::State& state) {
 }
 BENCHMARK(BM_StratifiedSplit);
 
-// Per-engine fit timing on the DBLP synthetic preset with prebuilt
+// The two fit schedules of the panel solver on prebuilt operators:
+// "width1" runs the q classes as q width-1 solves (the per-class
+// schedule), "width_q" as one width-q solve — TMarkClassifier::Fit itself.
+// Both produce bit-identical traces, so they do the same number of
+// column-iterations; returns it.
+std::size_t FitSchedule(const hin::Hin& hin,
+                        const core::PreparedOperators& ops,
+                        const std::vector<std::size_t>& labeled,
+                        bool per_class) {
+  const core::TMarkConfig config;
+  std::vector<core::ConvergenceTrace> traces(hin.num_classes());
+  if (per_class) {
+    la::DenseMatrix x(hin.num_nodes(), hin.num_classes());
+    la::DenseMatrix z(hin.num_relations(), hin.num_classes());
+    for (std::size_t c = 0; c < hin.num_classes(); ++c) {
+      core::SolveTMarkClasses(config, hin, labeled, ops, {c}, nullptr,
+                              nullptr, &x, &z, &traces);
+    }
+    benchmark::DoNotOptimize(x);
+  } else {
+    core::TMarkClassifier clf(config);
+    clf.Fit(hin, ops, labeled);
+    benchmark::DoNotOptimize(clf.Confidences());
+    traces = clf.Traces();
+  }
+  std::size_t iterations = 0;
+  for (const core::ConvergenceTrace& trace : traces) {
+    iterations += trace.residuals.size();
+  }
+  return iterations;
+}
+
+const char* ScheduleName(bool per_class) {
+  return per_class ? "width1" : "width_q";
+}
+
+// Per-schedule fit timing on the DBLP synthetic preset with prebuilt
 // operators, so the iteration loop (not the O/R/W build) is what is timed.
 void BM_TMarkFit_Engine(benchmark::State& state) {
   const auto hin_result = datasets::MakePreset("dblp", {});
   const hin::Hin& hin = *hin_result;
   const auto labeled = ThirdLabeled(hin);
-  core::TMarkConfig config;
-  config.fit_mode = state.range(0) == 0 ? core::FitMode::kPerClass
-                                        : core::FitMode::kBatched;
+  const bool per_class = state.range(0) == 0;
   const core::PreparedOperators ops =
-      core::PreparedOperators::Build(hin, config.similarity);
+      core::PreparedOperators::Build(hin, hin::SimilarityKernel::kCosine);
   for (auto _ : state) {
-    core::TMarkClassifier clf(config);
-    clf.Fit(hin, ops, labeled);
-    benchmark::DoNotOptimize(clf.Confidences());
+    benchmark::DoNotOptimize(FitSchedule(hin, ops, labeled, per_class));
   }
-  state.SetLabel(state.range(0) == 0 ? "per_class" : "batched");
+  state.SetLabel(ScheduleName(per_class));
 }
 BENCHMARK(BM_TMarkFit_Engine)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-/// The batched-vs-per-class comparison section: one warm-up then
-/// TMARK_BENCH_REPEATS (>= 3) timed fits per engine on the DBLP synthetic
-/// preset, recorded as a table in the TMARK_BENCH_JSON dump. Both engines
-/// produce bit-identical traces, so the total column-iteration count is the
-/// same and ms_per_iter is directly comparable.
+/// The schedule comparison section: one warm-up then TMARK_BENCH_REPEATS
+/// (>= 3) timed fits per schedule on the DBLP synthetic preset, recorded as
+/// the "fit-engine comparison" table of the TMARK_BENCH_JSON dump. Both
+/// schedules produce bit-identical traces, so the total column-iteration
+/// count is the same and ms_per_iter is directly comparable.
 void RunFitEngineComparison() {
   datasets::PresetOptions options;
   const hin::Hin hin = *datasets::MakePreset("dblp", options);
@@ -145,25 +177,16 @@ void RunFitEngineComparison() {
                                       "iterations", "ms_per_iter"};
   eval::TablePrinter table(headers);
   std::vector<std::vector<std::string>> rows;
-  for (const core::FitMode mode :
-       {core::FitMode::kPerClass, core::FitMode::kBatched}) {
-    core::TMarkConfig config;
-    config.fit_mode = mode;
-    core::TMarkClassifier clf(config);
-    clf.Fit(hin, ops, labeled);  // warm-up, also yields the trace lengths
-    std::size_t iterations = 0;
-    for (const core::ConvergenceTrace& trace : clf.Traces()) {
-      iterations += trace.residuals.size();
-    }
+  for (const bool per_class : {true, false}) {
+    // Warm-up, also yields the column-iteration count.
+    const std::size_t iterations = FitSchedule(hin, ops, labeled, per_class);
     const int repeats = std::max(3, bench::BenchTimer::Repeats());
     std::vector<double> runs;
     runs.reserve(static_cast<std::size_t>(repeats));
     for (int r = 0; r < repeats; ++r) {
       obs::Stopwatch watch;
-      core::TMarkClassifier timed(config);
-      timed.Fit(hin, ops, labeled);
+      FitSchedule(hin, ops, labeled, per_class);
       runs.push_back(watch.ElapsedMs());
-      benchmark::DoNotOptimize(timed.Confidences());
     }
     std::sort(runs.begin(), runs.end());
     const std::size_t mid = runs.size() / 2;
@@ -171,7 +194,7 @@ void RunFitEngineComparison() {
                               ? runs[mid]
                               : 0.5 * (runs[mid - 1] + runs[mid]);
     std::vector<std::string> row = {
-        core::ToString(mode),
+        ScheduleName(per_class),
         std::to_string(parallel::NumThreads()),
         FormatDouble(runs.front(), 3),
         FormatDouble(median, 3),
@@ -181,7 +204,8 @@ void RunFitEngineComparison() {
     table.AddRow(std::move(row));
   }
   std::cout << "fit-engine comparison (dblp synthetic preset, " << hin.num_nodes()
-            << " nodes, prebuilt operators, min over "
+            << " nodes, prebuilt operators, q width-1 solves vs one width-q "
+               "solve, min over "
             << std::max(3, bench::BenchTimer::Repeats()) << " runs)\n";
   table.Print(std::cout);
   if (bench::BenchObsSession* session = bench::BenchObsSession::active()) {

@@ -143,6 +143,22 @@ def main():
                            ["info", "--hin", good, "--profile-counters", "1"],
                            "info unknown --profile-counters")
 
+        # Removed flags fail through the unknown-flag path: exit 2 and one
+        # `error:` line naming the flag (then the usage text), never a
+        # silently ignored option.
+        proc = run(args.cli, ["classify", "--hin", good,
+                              "--fit-mode", "batched"])
+        errors = [l for l in proc.stderr.splitlines()
+                  if l.startswith("error:")]
+        if proc.returncode != 2:
+            fail("classify removed --fit-mode",
+                 f"expected exit code 2, got {proc.returncode}")
+        elif (len(errors) != 1 or "unknown flag --fit-mode" not in errors[0]
+              or not proc.stderr.startswith("error:")):
+            fail("classify removed --fit-mode",
+                 f"expected one leading 'error: unknown flag --fit-mode' "
+                 f"line, got {proc.stderr!r}")
+
         # Serving flags honor the same contract: a serve command that cannot
         # start must exit 2 with a single error line, not hang or abort.
         expect_usage_error(args.cli, ["serve", "--hin", good],

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Smoke gate for the batched fit engine (docs/PERFORMANCE.md).
+"""Smoke gate for the panel fit schedule (docs/PERFORMANCE.md).
 
 Reads a TMARK_BENCH_JSON dump from bench_perf_tmark, finds the
-"fit-engine comparison" table, and asserts the batched engine's
-per-iteration wall time does not exceed the per-class engine's by more
-than --slack (default 1.5x — deliberately generous: the gate exists to
-catch a batched path that has regressed to uselessness, not to certify a
-speedup on a loaded CI machine; docs/PERFORMANCE.md quotes the real
-numbers from quiet-machine runs).
+"fit-engine comparison" table, and asserts that one width-q panel solve
+("width_q") costs no more per column-iteration than the per-class schedule
+of q width-1 solves ("width1") times --slack (default 1.5x — deliberately
+generous: the gate exists to catch a panel path that has regressed to
+uselessness, not to certify a speedup on a loaded CI machine;
+docs/PERFORMANCE.md quotes the real numbers from quiet-machine runs).
 
 Usage: check_fit_engine.py FILE [--slack 1.5]
 """
@@ -28,7 +28,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("file")
     parser.add_argument("--slack", type=float, default=1.5,
-                        help="allowed batched/per_class ms_per_iter ratio")
+                        help="allowed width_q/width1 ms_per_iter ratio")
     args = parser.parse_args()
 
     try:
@@ -55,28 +55,28 @@ def main():
                 for row in table["rows"]}
     iterations = {row[engine_col]: int(row[count_col])
                   for row in table["rows"]}
-    for engine in ("per_class", "batched"):
+    for engine in ("width1", "width_q"):
         if engine not in per_iter:
             return fail(f"{args.file}: no '{engine}' row in the "
                         "comparison table")
 
-    # Bit-identical engines must agree on the total column-iteration count;
-    # a mismatch means the comparison timed two different workloads.
-    if iterations["batched"] != iterations["per_class"]:
+    # Bit-identical schedules must agree on the total column-iteration
+    # count; a mismatch means the comparison timed two different workloads.
+    if iterations["width_q"] != iterations["width1"]:
         return fail(f"{args.file}: iteration counts differ "
-                    f"(batched {iterations['batched']} vs per_class "
-                    f"{iterations['per_class']}) — engines diverged?")
+                    f"(width_q {iterations['width_q']} vs width1 "
+                    f"{iterations['width1']}) — schedules diverged?")
 
-    limit = per_iter["per_class"] * args.slack
-    if per_iter["batched"] > limit:
+    limit = per_iter["width1"] * args.slack
+    if per_iter["width_q"] > limit:
         return fail(
-            f"{args.file}: batched engine is too slow: "
-            f"{per_iter['batched']:.5f} ms/iter vs per_class "
-            f"{per_iter['per_class']:.5f} ms/iter "
+            f"{args.file}: width-q panel solve is too slow: "
+            f"{per_iter['width_q']:.5f} ms/iter vs width1 "
+            f"{per_iter['width1']:.5f} ms/iter "
             f"(allowed up to {limit:.5f} with slack {args.slack})")
 
-    print(f"check_fit_engine: ok — batched {per_iter['batched']:.5f} "
-          f"ms/iter vs per_class {per_iter['per_class']:.5f} ms/iter "
+    print(f"check_fit_engine: ok — width_q {per_iter['width_q']:.5f} "
+          f"ms/iter vs width1 {per_iter['width1']:.5f} ms/iter "
           f"(slack {args.slack})")
     return 0
 

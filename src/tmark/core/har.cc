@@ -1,6 +1,9 @@
 #include "tmark/core/har.h"
 
+#include <utility>
+
 #include "tmark/common/check.h"
+#include "tmark/la/panel.h"
 #include "tmark/tensor/transition_tensors.h"
 
 namespace tmark::core {
@@ -34,45 +37,52 @@ HarResult HarRank(const tensor::SparseTensor3& adjacency,
   const tensor::TransitionTensors bwd =
       tensor::TransitionTensors::Build(TransposeSlices(adjacency));
 
+  // Width-1 panels: the vector case of the panel kernels. An n x 1 panel's
+  // storage is the column vector itself, so the vector ops apply directly.
   const la::Vector x0 = la::UniformProbability(n);
   const la::Vector y0 = la::UniformProbability(n);
   const la::Vector z0 = la::UniformProbability(m);
+  la::DenseMatrix x(n, 1), y(n, 1), z(m, 1);
+  x.data() = x0;
+  y.data() = y0;
+  z.data() = z0;
+  la::DenseMatrix x_next(n, 1), y_next(n, 1), z_next(m, 1);
+  la::PanelWorkspace ws;
 
   HarResult result;
-  la::Vector x = x0, y = y0, z = z0;
   for (int t = 0; t < config.max_iterations; ++t) {
     // Authority from hubs, hubs from authorities, relevance from both.
-    la::Vector x_next = fwd.ApplyO(y, z);
-    la::Scale(1.0 - config.alpha, &x_next);
-    la::Axpy(config.alpha, x0, &x_next);
+    fwd.ApplyOPanel(y, z, 1, &x_next, &ws);
+    la::Scale(1.0 - config.alpha, &x_next.data());
+    la::Axpy(config.alpha, x0, &x_next.data());
 
-    la::Vector y_next = bwd.ApplyO(x_next, z);
-    la::Scale(1.0 - config.beta, &y_next);
-    la::Axpy(config.beta, y0, &y_next);
+    bwd.ApplyOPanel(x_next, z, 1, &y_next, &ws);
+    la::Scale(1.0 - config.beta, &y_next.data());
+    la::Axpy(config.beta, y0, &y_next.data());
 
-    la::Vector z_next = fwd.ApplyR(x_next, y_next);
-    la::Scale(1.0 - config.gamma, &z_next);
-    la::Axpy(config.gamma, z0, &z_next);
+    fwd.ApplyRPanel(x_next, y_next, 1, &z_next, &ws);
+    la::Scale(1.0 - config.gamma, &z_next.data());
+    la::Axpy(config.gamma, z0, &z_next.data());
 
-    la::NormalizeL1(&x_next);
-    la::NormalizeL1(&y_next);
-    la::NormalizeL1(&z_next);
+    la::NormalizeL1(&x_next.data());
+    la::NormalizeL1(&y_next.data());
+    la::NormalizeL1(&z_next.data());
 
-    const double rho = la::L1Distance(x_next, x) +
-                       la::L1Distance(y_next, y) +
-                       la::L1Distance(z_next, z);
+    const double rho = la::L1Distance(x_next.data(), x.data()) +
+                       la::L1Distance(y_next.data(), y.data()) +
+                       la::L1Distance(z_next.data(), z.data());
     result.residuals.push_back(rho);
-    x = std::move(x_next);
-    y = std::move(y_next);
-    z = std::move(z_next);
+    std::swap(x, x_next);
+    std::swap(y, y_next);
+    std::swap(z, z_next);
     if (rho < config.epsilon) {
       result.converged = true;
       break;
     }
   }
-  result.authority = std::move(x);
-  result.hub = std::move(y);
-  result.relevance = std::move(z);
+  result.authority = std::move(x.data());
+  result.hub = std::move(y.data());
+  result.relevance = std::move(z.data());
   return result;
 }
 

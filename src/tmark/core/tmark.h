@@ -5,7 +5,6 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "tmark/common/status.h"
@@ -18,30 +17,7 @@
 #include "tmark/la/vector_ops.h"
 #include "tmark/tensor/transition_tensors.h"
 
-namespace tmark::obs {
-class TraceSpan;
-}  // namespace tmark::obs
-
 namespace tmark::core {
-
-/// Fit-engine selection (docs/PERFORMANCE.md). Both engines compute
-/// bit-identical confidences, link importance, and residual traces; they
-/// differ only in how the per-class chains are scheduled.
-enum class FitMode {
-  /// One independent (x, z) chain per class, parallelized over classes —
-  /// the original engine; parallel speedup is capped at q.
-  kPerClass,
-  /// All q chains advance together on row-major n x q panels: each sparse
-  /// structure (O, R, linked mask, F_hat) is streamed once per iteration
-  /// for every class, and converged classes retire their columns early.
-  kBatched,
-};
-
-/// "per_class" or "batched".
-const char* ToString(FitMode mode);
-
-/// Parses "per_class" / "batched" into `mode`; returns false otherwise.
-bool TryParseFitMode(std::string_view text, FitMode* mode);
 
 /// Hyper-parameters of Algorithm 1.
 struct TMarkConfig {
@@ -66,18 +42,14 @@ struct TMarkConfig {
   /// the ICDM'17 predecessor method (TensorRrCc), used as a baseline in
   /// every table of the paper.
   bool ica_update = true;
-  /// Fit engine. Both produce bit-identical results; `kBatched` streams
-  /// each sparse operator once per iteration for all classes and is the
-  /// default. Engine choice, not model state — never serialized.
-  FitMode fit_mode = FitMode::kBatched;
-  /// Opt-in fp32 panel storage for the batched tensor product: the x panel
+  /// Opt-in fp32 panel storage for the fit's tensor product: the x panel
   /// is mirrored to float each iteration and the gather kernels read the
   /// mirror, halving the random-read traffic of the dominant kernel while
   /// accumulating in fp64. Trades the bit-identity guarantee for bandwidth —
   /// results differ from the fp64 path by at most the documented error
   /// bound (docs/PERFORMANCE.md "Scaling"; pinned by
-  /// tests/parallel/fp32_fit_test.cc). Ignored by the per-class engine.
-  /// Engine choice, not model state — never serialized.
+  /// tests/parallel/fp32_fit_test.cc). Engine choice, not model state —
+  /// never serialized.
   bool fp32_panels = false;
 
   /// The feature-walk weight beta = gamma * (1 - alpha) (Sec. 4.4).
@@ -105,6 +77,23 @@ double EstimateContractionRate(const std::vector<double>& residuals);
 /// (rate outside (0, 1) or no positive residual).
 double PredictIterationsToTolerance(const std::vector<double>& residuals,
                                     double rate, double epsilon);
+
+/// Algorithm 1 for the classes in `classes`, advanced together on one
+/// core::PanelSolver panel (slot s carries classes[s]) — the loop behind
+/// TMarkClassifier::Fit, Refit and Update. Writes columns classes[s] of
+/// `x_out` (n x q) and `z_out` (m x q) and entries classes[s] of `traces`
+/// (size q). `warm_x` / `warm_z`, when non-null, seed each chain from its
+/// previous stationary column instead of (l_c, uniform z). The panel
+/// kernels are width-independent per column, so one call per class (the
+/// per-class schedule) is bit-identical to one call for all classes.
+void SolveTMarkClasses(const TMarkConfig& config, const hin::Hin& hin,
+                       const std::vector<std::size_t>& labeled,
+                       const PreparedOperators& ops,
+                       const std::vector<std::size_t>& classes,
+                       const la::DenseMatrix* warm_x,
+                       const la::DenseMatrix* warm_z, la::DenseMatrix* x_out,
+                       la::DenseMatrix* z_out,
+                       std::vector<ConvergenceTrace>* traces);
 
 /// The T-Mark collective classifier (Algorithm 1).
 ///
@@ -157,7 +146,7 @@ class TMarkClassifier : public hin::CollectiveClassifier {
   /// them (copy-on-write when the bundle is shared with other holders), and
   /// re-runs the fixed point warm-started from the previous stationary
   /// panels. Warm starts put each class's chain at distance ~||delta|| from
-  /// its fixed point, so the batched engine's per-class residual check
+  /// its fixed point, so the solver's per-column residual check
   /// retires columns the delta did not perturb after their first iteration.
   /// Label-only deltas skip the operator patch entirely — labels do not
   /// enter O/R/W, so a single post-mutation fingerprint both validates the
@@ -198,32 +187,14 @@ class TMarkClassifier : public hin::CollectiveClassifier {
   // Model deserialization restores the stationary matrices directly.
   friend Result<TMarkClassifier> LoadTMarkModel(std::istream& in);
 
-  /// Shared implementation of Fit/Refit; `warm_start` seeds each class's
-  /// iteration from the previous stationary vectors when available.
+  /// Shared implementation of Fit/Refit/Update; `warm_start` seeds each
+  /// class's chain from the previous stationary vectors when available.
   /// `external_ops` (optional) bypasses the internal operator cache.
-  /// Resolves operators, then dispatches on config_.fit_mode.
+  /// Resolves operators, settles hinted classes, then runs the rest on one
+  /// panel (SolveTMarkClasses).
   void FitInternal(const hin::Hin& hin,
                    const std::vector<std::size_t>& labeled, bool warm_start,
                    const PreparedOperators* external_ops);
-
-  /// Per-class engine: q independent chains, parallelized over classes.
-  /// Worker-side spans are stitched back under `fit_span` in class order.
-  /// `retired` (empty, or one flag per class) marks classes FitInternal
-  /// already settled from retirement hints; their chains are skipped.
-  void FitPerClass(const hin::Hin& hin,
-                   const std::vector<std::size_t>& labeled, bool warm_start,
-                   const PreparedOperators& ops, const la::DenseMatrix& prev_x,
-                   const la::DenseMatrix& prev_z,
-                   const std::vector<bool>& retired, obs::TraceSpan* fit_span);
-
-  /// Batched engine: all chains advance on n x q panels with one structure
-  /// pass per iteration; bit-identical to FitPerClass column for column.
-  /// Hinted classes (`retired`) never occupy a panel slot.
-  void FitBatched(const hin::Hin& hin,
-                  const std::vector<std::size_t>& labeled, bool warm_start,
-                  const PreparedOperators& ops, const la::DenseMatrix& prev_x,
-                  const la::DenseMatrix& prev_z,
-                  const std::vector<bool>& retired);
 
   /// Delta-aware retirement hints (Update, label-only deltas): fills
   /// retire_hints_ with one flag per class, true when the class's previous

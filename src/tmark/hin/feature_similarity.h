@@ -47,19 +47,11 @@ class FeatureSimilarity {
 
   std::size_t num_nodes() const { return col_sums_.size(); }
 
-  /// Applies W to x (length n). Maps probability vectors to probability
-  /// vectors.
-  la::Vector Apply(const la::Vector& x) const;
-
-  /// Apply into a caller-owned vector, drawing the u/t intermediates and
-  /// scatter partials from `ws` (warm calls allocate nothing).
-  void ApplyInto(const la::Vector& x, la::PanelWorkspace* ws,
-                 la::Vector* y) const;
-
-  /// Panel form (la/panel.h): y(:, c) = W x(:, c) for c in [0, width),
-  /// streaming F_hat's structure once for all columns; bit-identical per
-  /// column to Apply. `ws` supplies the n x q and d x q scratch panels and
-  /// the scatter partials.
+  /// Applies W column-wise (la/panel.h): y(:, c) = W x(:, c) for c in
+  /// [0, width), streaming F_hat's structure once for all columns (width 1
+  /// is the vector case). Maps probability vectors to probability vectors.
+  /// `ws` supplies the n x q and d x q scratch panels and the scatter
+  /// partials.
   void ApplyPanel(const la::DenseMatrix& x, std::size_t width,
                   la::DenseMatrix* y, la::PanelWorkspace* ws) const;
 

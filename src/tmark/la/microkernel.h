@@ -15,8 +15,8 @@
 // Bit-identity by construction: blocking happens across *columns*, and
 // columns are independent per-class chains — no primitive ever combines
 // values from two different columns. Column c therefore sees exactly the
-// scalar operation sequence of the unblocked loop (and of the per-class
-// engine) at every block width, so batched == per_class survives
+// scalar operation sequence of the unblocked loop (and of a width-1
+// panel) at every block width, so width-independence survives
 // vectorization untouched (docs/PERFORMANCE.md).
 //
 // All pointers reference runs of at least `width` doubles; distinct

@@ -617,56 +617,6 @@ bool SparseTensor3::IsConnectedAggregate() const {
   return count == n_;
 }
 
-la::Vector SparseTensor3::ContractMode1(const la::Vector& x,
-                                        const la::Vector& z) const {
-  la::Vector y;
-  ContractMode1Into(x, z, &y);
-  return y;
-}
-
-void SparseTensor3::ContractMode1Into(const la::Vector& x, const la::Vector& z,
-                                      la::Vector* y) const {
-  TMARK_PROF_REGION("tensor.contract.mode1");
-  TMARK_CHECK(y != nullptr && x.size() == n_ && z.size() == m_);
-  y->assign(n_, 0.0);
-  // Row-partitioned: each row accumulates its per-slice contributions in
-  // ascending k, exactly the per-element order of the serial k-outer loop,
-  // and rows are disjoint — bit-identical at any thread count.
-  parallel::ParallelForRanges(
-      n_, kContractRowGrain, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t k = 0; k < m_; ++k) {
-          const double zk = z[k];
-          if (zk == 0.0) continue;
-          const la::SparseMatrix& s = slices_[k];
-          for (std::size_t i = begin; i < end; ++i) {
-            double acc = 0.0;
-            for (std::size_t p = s.row_ptr()[i]; p < s.row_ptr()[i + 1]; ++p) {
-              acc += s.values()[p] * x[s.col_idx()[p]];
-            }
-            (*y)[i] += zk * acc;
-          }
-        }
-      });
-}
-
-la::Vector SparseTensor3::ContractMode3(const la::Vector& x,
-                                        const la::Vector& y) const {
-  la::Vector w;
-  ContractMode3Into(x, y, &w);
-  return w;
-}
-
-void SparseTensor3::ContractMode3Into(const la::Vector& x, const la::Vector& y,
-                                      la::Vector* w) const {
-  TMARK_PROF_REGION("tensor.contract.mode3");
-  TMARK_CHECK(w != nullptr && x.size() == n_ && y.size() == n_);
-  w->resize(m_);
-  // One independent bilinear form per slice; w entries are disjoint.
-  parallel::ParallelFor(m_, /*grain=*/1, [&](std::size_t k) {
-    (*w)[k] = slices_[k].Bilinear(x, y);
-  });
-}
-
 void SparseTensor3::ContractMode1Panel(const la::DenseMatrix& x,
                                        const la::DenseMatrix& z,
                                        std::size_t width,
@@ -678,7 +628,7 @@ void SparseTensor3::ContractMode1Panel(const la::DenseMatrix& x,
   TMARK_CHECK(x.cols() == y->cols() && z.cols() == x.cols());
   TMARK_CHECK(width <= x.cols());
   // Walks the merged row-major view: per row i, segments ascending in k —
-  // exactly the per-element order of the single-vector k-outer loop
+  // exactly the per-element order of a per-slice k-outer loop
   // (regrouping the traversal changes which entries stream together, never
   // the order the per-slice terms z(k, c) * acc are added to y(i, c)). A
   // segment is skipped when every active z(k, :) entry is zero — the same

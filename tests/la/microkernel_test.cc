@@ -5,8 +5,8 @@
 // width — including odd/tail widths that exercise the 4/2/1 blocks — and must
 // never touch memory at or beyond `width` (panels have live inactive columns
 // there). The fused panel passes must equal the unfused sweep sequence
-// exactly: these equivalences are what lets the batched engine stay
-// bit-identical to the per-class engine after vectorization and fusion.
+// exactly: these equivalences are what keep a panel solve bit-identical to
+// a width-1 solve after vectorization and fusion.
 
 #include <gtest/gtest.h>
 
@@ -241,8 +241,8 @@ TEST(MicrokernelTest, FusedNormalizeDistanceEqualsUnfusedSweeps) {
   }
 }
 
-// The fused passes must also match the single-vector ops per column — the
-// per-class engine's exact sequence (Scale/Axpy/NormalizeL1/L1Distance).
+// The fused passes must also match the single-vector ops per column
+// (Scale/Axpy/NormalizeL1/L1Distance).
 TEST(MicrokernelTest, FusedPassesMatchPerVectorOpsPerColumn) {
   constexpr std::size_t kRows = 29;
   constexpr std::size_t kStride = 7;

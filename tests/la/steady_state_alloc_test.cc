@@ -1,8 +1,9 @@
-// Steady-state allocation discipline: every hot-loop kernel of the fit
-// engines — the Into variants, the multi-RHS panel kernels, and the fused
-// panel passes — must allocate NOTHING once its outputs and workspace are
-// warm. The fit loops call these kernels every iteration; a per-call
-// allocation there is a perf bug this test turns into a failure.
+// Steady-state allocation discipline: every hot-loop kernel of the panel
+// solver — the multi-RHS panel kernels at width 1 (the vector case) and at
+// full width, and the fused panel passes — must allocate NOTHING once its
+// outputs and workspace are warm. The solver calls these kernels every
+// iteration; a per-call allocation there is a perf bug this test turns
+// into a failure.
 //
 // Mechanism: the test binary replaces global operator new/new[] with
 // counting wrappers. Each kernel runs twice with the same caller-owned
@@ -19,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "tmark/core/panel_solver.h"
+#include "tmark/core/prepared_operators.h"
 #include "tmark/datasets/synthetic_hin.h"
 #include "tmark/hin/feature_similarity.h"
 #include "tmark/hin/hin.h"
@@ -148,22 +151,26 @@ TEST(SteadyStateAllocTest, TensorKernelsAllocateNothingWhenWarm) {
   const tensor::SparseTensor3 adjacency = MakeTensor();
   const tensor::TransitionTensors tensors =
       tensor::TransitionTensors::Build(adjacency);
-  const la::Vector x = MakeProb(kNodes, 4);
-  const la::Vector x2 = MakeProb(kNodes, 5);
-  const la::Vector z = MakeProb(kRelations, 6);
+  const la::DenseMatrix x = MakeProbPanel(kNodes, 1, 4);
+  const la::DenseMatrix x2 = MakeProbPanel(kNodes, 1, 5);
+  const la::DenseMatrix z = MakeProbPanel(kRelations, 1, 6);
   const la::DenseMatrix xp = MakeProbPanel(kNodes, kWidth, 7);
   const la::DenseMatrix yp = MakeProbPanel(kNodes, kWidth, 8);
   const la::DenseMatrix zp = MakeProbPanel(kRelations, kWidth, 9);
-  la::Vector y, w, x_sums, w_sums;
+  la::Vector x_sums, w_sums;
+  la::DenseMatrix y(kNodes, 1);
+  la::DenseMatrix w(kRelations, 1);
   la::DenseMatrix node_out(kNodes, kWidth);
   la::DenseMatrix rel_out(kRelations, kWidth);
   la::PanelWorkspace ws;
   la::LeadingColumnSums(xp, kWidth, &x_sums);
 
-  EXPECT_EQ(WarmAllocs([&] { adjacency.ContractMode1Into(x, z, &y); }), 0u)
-      << "ContractMode1Into";
-  EXPECT_EQ(WarmAllocs([&] { adjacency.ContractMode3Into(x, x2, &w); }), 0u)
-      << "ContractMode3Into";
+  EXPECT_EQ(
+      WarmAllocs([&] { adjacency.ContractMode1Panel(x, z, 1, &y, &ws); }), 0u)
+      << "ContractMode1Panel width 1";
+  EXPECT_EQ(
+      WarmAllocs([&] { adjacency.ContractMode3Panel(x, x2, 1, &w, &ws); }), 0u)
+      << "ContractMode3Panel width 1";
   EXPECT_EQ(WarmAllocs(
                 [&] { adjacency.ContractMode1Panel(xp, zp, kWidth, &node_out,
                                                    &ws); }),
@@ -174,10 +181,10 @@ TEST(SteadyStateAllocTest, TensorKernelsAllocateNothingWhenWarm) {
                                                    &ws); }),
             0u)
       << "ContractMode3Panel";
-  EXPECT_EQ(WarmAllocs([&] { tensors.ApplyOInto(x, z, &y); }), 0u)
-      << "ApplyOInto";
-  EXPECT_EQ(WarmAllocs([&] { tensors.ApplyRInto(x, x2, &w); }), 0u)
-      << "ApplyRInto";
+  EXPECT_EQ(WarmAllocs([&] { tensors.ApplyOPanel(x, z, 1, &y, &ws); }), 0u)
+      << "ApplyOPanel width 1";
+  EXPECT_EQ(WarmAllocs([&] { tensors.ApplyRPanel(x, x2, 1, &w, &ws); }), 0u)
+      << "ApplyRPanel width 1";
   EXPECT_EQ(
       WarmAllocs([&] { tensors.ApplyOPanel(xp, zp, kWidth, &node_out, &ws); }),
       0u)
@@ -195,17 +202,19 @@ TEST(SteadyStateAllocTest, SimilarityAndFusedPassesAllocateNothingWhenWarm) {
   parallel::SetNumThreads(1);
   const hin::FeatureSimilarity sim =
       hin::FeatureSimilarity::Build(MakeSparse(kNodes, kVocab, 11));
-  const la::Vector x = MakeProb(kNodes, 12);
+  const la::DenseMatrix x = MakeProbPanel(kNodes, 1, 12);
   const la::DenseMatrix xp = MakeProbPanel(kNodes, kWidth, 13);
   const la::DenseMatrix wx = MakeProbPanel(kNodes, kWidth, 14);
   const la::DenseMatrix l = MakeProbPanel(kNodes, kWidth, 15);
   const la::DenseMatrix prev = MakeProbPanel(kNodes, kWidth, 16);
-  la::Vector y, sums, rho;
+  la::Vector sums, rho;
+  la::DenseMatrix y(kNodes, 1);
   la::DenseMatrix wx_out(kNodes, kWidth);
   la::DenseMatrix combine = MakeProbPanel(kNodes, kWidth, 17);
   la::PanelWorkspace ws;
 
-  EXPECT_EQ(WarmAllocs([&] { sim.ApplyInto(x, &ws, &y); }), 0u) << "ApplyInto";
+  EXPECT_EQ(WarmAllocs([&] { sim.ApplyPanel(x, 1, &y, &ws); }), 0u)
+      << "ApplyPanel width 1";
   EXPECT_EQ(WarmAllocs([&] { sim.ApplyPanel(xp, kWidth, &wx_out, &ws); }), 0u)
       << "ApplyPanel";
   // The fused epilogue pair, exactly as the batched fit loop runs it:
@@ -220,6 +229,47 @@ TEST(SteadyStateAllocTest, SimilarityAndFusedPassesAllocateNothingWhenWarm) {
             }),
             0u)
       << "FusedCombineColumns + FusedNormalizeDistanceColumns";
+}
+
+// A warm solver (panels, workspace and residual vectors sized by a first
+// run) runs a whole batch of the same width without allocating — what lets
+// the serving engine keep one solver across batches.
+TEST(SteadyStateAllocTest, PanelSolverRunAllocatesNothingWhenWarm) {
+  ThreadCountGuard guard;
+  parallel::SetNumThreads(1);
+  datasets::SyntheticHinConfig config;
+  config.num_nodes = kNodes;
+  config.class_names = {"A", "B"};
+  config.relations = {{"r0", 0.8, 0.0, 2.0, {}, false},
+                      {"r1", 0.5, 0.2, 1.0, {}, true}};
+  config.seed = 5;
+  const hin::Hin hin = datasets::GenerateSyntheticHin(config);
+  const core::PreparedOperators ops =
+      core::PreparedOperators::Build(hin, hin::SimilarityKernel::kCosine);
+  core::PanelSolver solver(core::PanelSolverOptions{});
+  const std::vector<std::size_t> ids = {0, 1, 2, 3, 4};
+  core::PanelSolverHooks hooks;
+  hooks.residual = [](std::size_t, double) {};
+  hooks.finish = [](std::size_t, const la::DenseMatrix&,
+                    const la::DenseMatrix&, std::size_t, bool) {};
+  const std::size_t m = hin.num_relations();
+
+  EXPECT_EQ(WarmAllocs([&] {
+              solver.Reset(ops, ids);
+              for (std::size_t s = 0; s < ids.size(); ++s) {
+                for (std::size_t i = 0; i < kNodes; ++i) {
+                  const double e = i == s * 7 ? 1.0 : 0.0;
+                  solver.x().At(i, s) = e;
+                  solver.restart().At(i, s) = e;
+                }
+                for (std::size_t k = 0; k < m; ++k) {
+                  solver.z().At(k, s) = 1.0 / static_cast<double>(m);
+                }
+              }
+              solver.Run(hooks);
+            }),
+            0u)
+      << "PanelSolver::Reset + Run";
 }
 
 TEST(SteadyStateAllocTest, IcaLabelRefreshAllocatesNothingWhenWarm) {

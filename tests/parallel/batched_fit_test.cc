@@ -1,19 +1,25 @@
-// Golden bit-identity tests for the batched fit engine: a batched Fit must
-// equal the per-class Fit (which parallel_fit_test.cc already pins to the
-// seed serial results) bit for bit — exact ==, no tolerance — across every
-// similarity kernel, thread counts {1, 4}, warm starts, ICA on/off, and
-// iteration-capped (unconverged) runs.
+// Width-independence tests of the panel solver behind TMarkClassifier::Fit:
+// the classifier's one width-q panel must equal the per-class schedule — q
+// width-1 solves, one core::SolveTMarkClasses call per class — bit for bit
+// (exact ==, no tolerance) across every similarity kernel, thread counts
+// {1, 4}, warm starts, ICA on/off, odd class widths and iteration-capped
+// (unconverged) runs. The schedule itself is held against the dense
+// reference of fit_oracles.h (cosine kernel), and the default fit's
+// outputs on the preset networks are pinned by pinned_outputs_test.cc.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <vector>
 
+#include "tmark/core/prepared_operators.h"
 #include "tmark/core/tmark.h"
 #include "tmark/datasets/synthetic_hin.h"
 #include "tmark/hin/hin_builder.h"
 #include "tmark/hin/similarity_kernel.h"
 #include "tmark/parallel/thread_pool.h"
+
+#include "fit_oracles.h"
 
 namespace tmark {
 namespace {
@@ -76,6 +82,45 @@ struct FitOutputs {
   std::vector<std::vector<std::size_t>> rankings;
 };
 
+FitOutputs RunPerClassSchedule(const hin::Hin& hin,
+                               const std::vector<std::size_t>& labeled,
+                               const core::TMarkConfig& config, int threads,
+                               bool warm_refit) {
+  parallel::SetNumThreads(threads);
+  FitOutputs out;
+  testing_ref::PerClassSchedule(hin, labeled, config, warm_refit,
+                                &out.confidences, &out.link_importance,
+                                &out.traces);
+  for (std::size_t c = 0; c < hin.num_classes(); ++c) {
+    out.rankings.push_back(la::ArgSortDescending(out.link_importance.Col(c)));
+  }
+  return out;
+}
+
+// The schedule's stationary columns agree with the dense reference to a
+// small multiple of epsilon (cosine kernel only: the reference assembles W
+// from raw cosines).
+void ExpectMatchesDenseReference(const FitOutputs& fit, const hin::Hin& hin,
+                                 const std::vector<std::size_t>& labeled,
+                                 const core::TMarkConfig& config) {
+  const core::PreparedOperators ops =
+      core::PreparedOperators::Build(hin, hin::SimilarityKernel::kCosine);
+  const testing_ref::DenseModel model = testing_ref::MakeDenseModel(hin, ops);
+  for (std::size_t c = 0; c < hin.num_classes(); ++c) {
+    ASSERT_TRUE(fit.traces[c].converged) << "class " << c;
+    const testing_ref::DenseRun dense = testing_ref::DenseClassSolve(
+        model, hin, labeled, c, config.alpha, config.beta(), config.lambda,
+        config.ica_update, config.epsilon, config.max_iterations);
+    ASSERT_TRUE(dense.converged) << "class " << c;
+    EXPECT_LE(testing_ref::L1(fit.confidences.Col(c), dense.x),
+              100 * config.epsilon)
+        << "class " << c;
+    EXPECT_LE(testing_ref::L1(fit.link_importance.Col(c), dense.z),
+              100 * config.epsilon)
+        << "class " << c;
+  }
+}
+
 FitOutputs RunFit(const hin::Hin& hin, const std::vector<std::size_t>& labeled,
                   const core::TMarkConfig& config, int threads,
                   bool warm_refit) {
@@ -119,20 +164,22 @@ TEST(BatchedFitTest, MatchesPerClassAcrossKernelsAndThreadCounts) {
         hin::SimilarityKernel::kTfIdfCosine,
         hin::SimilarityKernel::kDotProduct}) {
     SCOPED_TRACE("kernel " + hin::ToString(kernel));
-    core::TMarkConfig per_class;
-    per_class.similarity = kernel;
-    per_class.fit_mode = core::FitMode::kPerClass;
-    core::TMarkConfig batched = per_class;
-    batched.fit_mode = core::FitMode::kBatched;
+    core::TMarkConfig config;
+    config.similarity = kernel;
 
-    const FitOutputs golden = RunFit(hin, labeled, per_class, 1, false);
+    const FitOutputs golden =
+        RunPerClassSchedule(hin, labeled, config, 1, false);
+    if (kernel == hin::SimilarityKernel::kCosine) {
+      ExpectMatchesDenseReference(golden, hin, labeled, config);
+    }
     for (const int threads : {1, 4}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
-      ExpectBitIdentical(golden, RunFit(hin, labeled, batched, threads, false));
+      ExpectBitIdentical(golden, RunFit(hin, labeled, config, threads, false));
     }
-    // The per-class engine at 4 threads must also still hit the golden
+    // The per-class schedule at 4 threads must also still hit the golden
     // serial results (regression guard alongside parallel_fit_test.cc).
-    ExpectBitIdentical(golden, RunFit(hin, labeled, per_class, 4, false));
+    ExpectBitIdentical(golden,
+                       RunPerClassSchedule(hin, labeled, config, 4, false));
   }
 }
 
@@ -141,16 +188,14 @@ TEST(BatchedFitTest, MatchesPerClassWithIcaDisabled) {
   const hin::Hin hin = MakeTestHin();
   const std::vector<std::size_t> labeled = EveryThird(hin);
 
-  core::TMarkConfig per_class;
-  per_class.ica_update = false;  // TensorRrCc mode: no restart refresh.
-  per_class.fit_mode = core::FitMode::kPerClass;
-  core::TMarkConfig batched = per_class;
-  batched.fit_mode = core::FitMode::kBatched;
+  core::TMarkConfig config;
+  config.ica_update = false;  // TensorRrCc mode: no restart refresh.
 
-  const FitOutputs golden = RunFit(hin, labeled, per_class, 1, false);
+  const FitOutputs golden = RunPerClassSchedule(hin, labeled, config, 1, false);
+  ExpectMatchesDenseReference(golden, hin, labeled, config);
   for (const int threads : {1, 4}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    ExpectBitIdentical(golden, RunFit(hin, labeled, batched, threads, false));
+    ExpectBitIdentical(golden, RunFit(hin, labeled, config, threads, false));
   }
 }
 
@@ -158,42 +203,35 @@ TEST(BatchedFitTest, WarmStartRefitIsBitIdentical) {
   ThreadCountGuard guard;
   const hin::Hin hin = MakeTestHin();
   const std::vector<std::size_t> labeled = EveryThird(hin);
-
-  core::TMarkConfig per_class;
-  per_class.fit_mode = core::FitMode::kPerClass;
-  core::TMarkConfig batched = per_class;
-  batched.fit_mode = core::FitMode::kBatched;
+  const core::TMarkConfig config;
 
   // Refit seeds every chain from the previous stationary panel; warm traces
   // are short (a handful of iterations), which exercises the early-retire
-  // compaction path of the batched engine.
-  const FitOutputs golden = RunFit(hin, labeled, per_class, 1, true);
+  // compaction path of the width-q panel.
+  const FitOutputs golden = RunPerClassSchedule(hin, labeled, config, 1, true);
   for (const int threads : {1, 4}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    ExpectBitIdentical(golden, RunFit(hin, labeled, batched, threads, true));
+    ExpectBitIdentical(golden, RunFit(hin, labeled, config, threads, true));
   }
 }
 
 // Class counts chosen to hit every micro-kernel tail shape: q=1 (pure scalar
 // tail), 2, 3 (2+1), 5 (4+1), 7 (4+2+1), and 9 (one 8-block + scalar tail).
-// The blocked SIMD panel kernels must stay bit-identical to the per-class
-// engine at every width, including the odd ones.
+// The blocked SIMD panel kernels must stay bit-identical to the width-1
+// schedule at every width, including the odd ones.
 TEST(BatchedFitTest, OddAndTailClassWidthsMatchPerClass) {
   ThreadCountGuard guard;
   for (const std::size_t q : {1u, 2u, 3u, 5u, 7u, 9u}) {
     SCOPED_TRACE("classes " + std::to_string(q));
     const hin::Hin hin = MakeHinWithClasses(q);
     const std::vector<std::size_t> labeled = EveryThird(hin);
+    const core::TMarkConfig config;
 
-    core::TMarkConfig per_class;
-    per_class.fit_mode = core::FitMode::kPerClass;
-    core::TMarkConfig batched = per_class;
-    batched.fit_mode = core::FitMode::kBatched;
-
-    const FitOutputs golden = RunFit(hin, labeled, per_class, 1, false);
+    const FitOutputs golden =
+        RunPerClassSchedule(hin, labeled, config, 1, false);
     for (const int threads : {1, 4}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
-      ExpectBitIdentical(golden, RunFit(hin, labeled, batched, threads, false));
+      ExpectBitIdentical(golden, RunFit(hin, labeled, config, threads, false));
     }
   }
 }
@@ -205,21 +243,18 @@ TEST(BatchedFitTest, IterationCappedUnconvergedRunsMatch) {
 
   // Cap the iterations so no class converges: every column survives to the
   // end of the panel loop and is written out by the post-loop path.
-  core::TMarkConfig per_class;
-  per_class.max_iterations = 4;
-  per_class.epsilon = 1e-300;
-  per_class.fit_mode = core::FitMode::kPerClass;
-  core::TMarkConfig batched = per_class;
-  batched.fit_mode = core::FitMode::kBatched;
+  core::TMarkConfig config;
+  config.max_iterations = 4;
+  config.epsilon = 1e-300;
 
-  const FitOutputs golden = RunFit(hin, labeled, per_class, 1, false);
+  const FitOutputs golden = RunPerClassSchedule(hin, labeled, config, 1, false);
   for (const core::ConvergenceTrace& trace : golden.traces) {
     EXPECT_FALSE(trace.converged);
     EXPECT_EQ(trace.residuals.size(), 4u);
   }
   for (const int threads : {1, 4}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    ExpectBitIdentical(golden, RunFit(hin, labeled, batched, threads, false));
+    ExpectBitIdentical(golden, RunFit(hin, labeled, config, threads, false));
   }
 }
 

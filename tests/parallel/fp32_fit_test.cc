@@ -3,19 +3,25 @@
 // the x panel is demoted to float before each tensor product, so every
 // gathered element carries a relative error of at most 2^-24 while all
 // accumulation stays double. These tests pin the resulting end-to-end
-// deviation from the fp64 batched engine to a small explicit bound on the
-// DBLP preset, and check the knob changes nothing it should not touch
-// (per-class engine, rankings, determinism across thread counts).
+// deviation to a small explicit bound on the DBLP preset — from the fp64
+// fit (whose outputs pinned_outputs_test.cc pins bit for bit) and from the
+// dense reference of fit_oracles.h — and check the knob changes nothing it
+// should not touch (rankings, determinism across thread counts).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <string>
 #include <vector>
 
+#include "tmark/core/prepared_operators.h"
 #include "tmark/core/tmark.h"
 #include "tmark/datasets/presets.h"
 #include "tmark/parallel/thread_pool.h"
+
+#include "fit_oracles.h"
 
 namespace tmark {
 namespace {
@@ -53,8 +59,7 @@ TEST(Fp32FitTest, BatchedFp32StaysWithinErrorBoundOfFp64) {
   const hin::Hin hin = MakeDblp();
   const std::vector<std::size_t> labeled = EveryThird(hin);
 
-  core::TMarkConfig fp64;
-  fp64.fit_mode = core::FitMode::kBatched;
+  const core::TMarkConfig fp64;
   core::TMarkConfig fp32 = fp64;
   fp32.fp32_panels = true;
 
@@ -84,7 +89,6 @@ TEST(Fp32FitTest, Fp32IsDeterministicAcrossThreadCounts) {
   const std::vector<std::size_t> labeled = EveryThird(hin);
 
   core::TMarkConfig fp32;
-  fp32.fit_mode = core::FitMode::kBatched;
   fp32.fp32_panels = true;
 
   // fp32 trades identity with the fp64 path, not determinism: the demoted
@@ -101,23 +105,44 @@ TEST(Fp32FitTest, Fp32IsDeterministicAcrossThreadCounts) {
       serial.LinkImportance().MaxAbsDiff(threaded.LinkImportance()), 0.0);
 }
 
-TEST(Fp32FitTest, PerClassEngineIgnoresTheKnob) {
+TEST(Fp32FitTest, Fp32StaysWithinErrorBoundOfDenseReference) {
   ThreadCountGuard guard;
-  const hin::Hin hin = MakeDblp();
+  // The dense reference is O(m n^2) per step: a smaller DBLP network.
+  datasets::PresetOptions options;
+  options.num_nodes = 120;
+  options.seed = 7;
+  auto network = datasets::MakePreset("dblp", options);
+  ASSERT_TRUE(network.ok()) << network.status().ToString();
+  const hin::Hin& hin = *network;
   const std::vector<std::size_t> labeled = EveryThird(hin);
 
-  core::TMarkConfig plain;
-  plain.fit_mode = core::FitMode::kPerClass;
-  core::TMarkConfig with_knob = plain;
-  with_knob.fp32_panels = true;
-
+  core::TMarkConfig fp32;
+  fp32.fp32_panels = true;
   parallel::SetNumThreads(1);
-  core::TMarkClassifier a(plain);
-  a.Fit(hin, labeled);
-  core::TMarkClassifier b(with_knob);
-  b.Fit(hin, labeled);
-  EXPECT_DOUBLE_EQ(a.Confidences().MaxAbsDiff(b.Confidences()), 0.0);
-  EXPECT_DOUBLE_EQ(a.LinkImportance().MaxAbsDiff(b.LinkImportance()), 0.0);
+  core::TMarkClassifier clf(fp32);
+  clf.Fit(hin, labeled);
+  const core::PreparedOperators ops =
+      core::PreparedOperators::Build(hin, fp32.similarity);
+  const testing_ref::DenseModel model = testing_ref::MakeDenseModel(hin, ops);
+  for (std::size_t c = 0; c < hin.num_classes(); ++c) {
+    SCOPED_TRACE("class " + std::to_string(c));
+    const testing_ref::DenseRun dense = testing_ref::DenseClassSolve(
+        model, hin, labeled, c, fp32.alpha, fp32.beta(), fp32.lambda,
+        fp32.ica_update, fp32.epsilon, fp32.max_iterations);
+    ASSERT_TRUE(dense.converged);
+    double x_dev = 0.0;
+    for (std::size_t i = 0; i < hin.num_nodes(); ++i) {
+      x_dev =
+          std::max(x_dev, std::abs(clf.Confidences().At(i, c) - dense.x[i]));
+    }
+    double z_dev = 0.0;
+    for (std::size_t k = 0; k < hin.num_relations(); ++k) {
+      z_dev = std::max(z_dev,
+                       std::abs(clf.LinkImportance().At(k, c) - dense.z[k]));
+    }
+    EXPECT_LE(x_dev, kFp32Bound);
+    EXPECT_LE(z_dev, kFp32Bound);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Bit-identity tests for the LLC-sharded merged-view dispatch: a fit run
 // under any shard budget — pathologically tiny, the LLC-sized default, or
 // one so large the plan collapses to a single shard — must equal the
-// per-class engine bit for bit at every thread count, with sharding
+// per-class schedule of width-1 solves (fit_oracles.h, itself held against
+// the dense reference) bit for bit at every thread count, with sharding
 // enabled, disabled, and with the compact index arrays forced wide. The
 // shard plan shapes work assignment only; these tests pin that contract.
 
@@ -12,11 +13,14 @@
 #include <string>
 #include <vector>
 
+#include "tmark/core/prepared_operators.h"
 #include "tmark/core/tmark.h"
 #include "tmark/datasets/synthetic_hin.h"
 #include "tmark/la/index_array.h"
 #include "tmark/parallel/thread_pool.h"
 #include "tmark/tensor/sharding.h"
+
+#include "fit_oracles.h"
 
 namespace tmark {
 namespace {
@@ -84,13 +88,28 @@ TEST(ShardedFitTest, BitIdenticalAcrossShardBudgetsAndThreadCounts) {
   const hin::Hin hin = MakeTestHin();
   const std::vector<std::size_t> labeled = EveryThird(hin);
 
-  core::TMarkConfig per_class;
-  per_class.fit_mode = core::FitMode::kPerClass;
-  core::TMarkConfig batched = per_class;
-  batched.fit_mode = core::FitMode::kBatched;
+  const core::TMarkConfig config;
 
-  // Golden: per-class engine, serial, default sharding config.
-  const FitOutputs golden = RunFit(hin, labeled, per_class, 1);
+  // Golden: the per-class schedule, serial, default sharding config, within
+  // a small multiple of epsilon of the dense reference.
+  parallel::SetNumThreads(1);
+  FitOutputs golden;
+  testing_ref::PerClassSchedule(hin, labeled, config, /*warm_refit=*/false,
+                                &golden.confidences, &golden.link_importance,
+                                &golden.traces);
+  const core::PreparedOperators ops =
+      core::PreparedOperators::Build(hin, config.similarity);
+  const testing_ref::DenseModel model = testing_ref::MakeDenseModel(hin, ops);
+  for (std::size_t c = 0; c < hin.num_classes(); ++c) {
+    const testing_ref::DenseRun dense = testing_ref::DenseClassSolve(
+        model, hin, labeled, c, config.alpha, config.beta(), config.lambda,
+        config.ica_update, config.epsilon, config.max_iterations);
+    ASSERT_TRUE(golden.traces[c].converged && dense.converged);
+    EXPECT_LE(testing_ref::L1(golden.confidences.Col(c), dense.x),
+              100 * config.epsilon);
+    EXPECT_LE(testing_ref::L1(golden.link_importance.Col(c), dense.z),
+              100 * config.epsilon);
+  }
 
   // 1 byte forces one shard per row (clamped by kMaxMergedShards); the
   // default budget puts this whole test graph in one LLC block; SIZE_MAX
@@ -102,7 +121,7 @@ TEST(ShardedFitTest, BitIdenticalAcrossShardBudgetsAndThreadCounts) {
     tensor::SetMergedShardBudgetBytes(budget);
     for (const int threads : {1, 4}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
-      ExpectBitIdentical(golden, RunFit(hin, labeled, batched, threads));
+      ExpectBitIdentical(golden, RunFit(hin, labeled, config, threads));
     }
   }
 }
@@ -112,8 +131,7 @@ TEST(ShardedFitTest, DisabledShardingMatchesEnabled) {
   const hin::Hin hin = MakeTestHin();
   const std::vector<std::size_t> labeled = EveryThird(hin);
 
-  core::TMarkConfig batched;
-  batched.fit_mode = core::FitMode::kBatched;
+  const core::TMarkConfig batched;
 
   tensor::SetMergedShardingEnabled(true);
   tensor::SetMergedShardBudgetBytes(1);  // Maximal shard count.
@@ -131,8 +149,7 @@ TEST(ShardedFitTest, ForcedWideIndexArraysAreBitIdentical) {
   const hin::Hin hin = MakeTestHin();
   const std::vector<std::size_t> labeled = EveryThird(hin);
 
-  core::TMarkConfig batched;
-  batched.fit_mode = core::FitMode::kBatched;
+  const core::TMarkConfig batched;
 
   const FitOutputs compact = RunFit(hin, labeled, batched, 1);
   la::SetForceWideIndexArrays(true);

@@ -4,9 +4,17 @@
 
 #include "tmark/common/check.h"
 #include "tmark/common/random.h"
+#include "tmark/la/panel.h"
 
 namespace tmark::tensor {
 namespace {
+
+/// An n x 1 panel holding `v` (an n x 1 panel's storage is the vector).
+la::DenseMatrix Column(const la::Vector& v) {
+  la::DenseMatrix p(v.size(), 1);
+  p.data() = v;
+  return p;
+}
 
 SparseTensor3 Sample() {
   // 3 nodes, 2 relations.
@@ -105,7 +113,9 @@ TEST(SparseTensor3Test, ContractMode1MatchesBruteForce) {
   la::Vector x(7), z(3);
   for (double& v : x) v = rng.Uniform(0.0, 1.0);
   for (double& v : z) v = rng.Uniform(0.0, 1.0);
-  const la::Vector y = t.ContractMode1(x, z);
+  la::DenseMatrix y(7, 1);
+  la::PanelWorkspace ws;
+  t.ContractMode1Panel(Column(x), Column(z), 1, &y, &ws);
   for (std::size_t i = 0; i < 7; ++i) {
     double expect = 0.0;
     for (std::size_t j = 0; j < 7; ++j) {
@@ -113,7 +123,7 @@ TEST(SparseTensor3Test, ContractMode1MatchesBruteForce) {
         expect += t.At(i, j, k) * x[j] * z[k];
       }
     }
-    EXPECT_NEAR(y[i], expect, 1e-12);
+    EXPECT_NEAR(y.At(i, 0), expect, 1e-12);
   }
 }
 
@@ -123,7 +133,9 @@ TEST(SparseTensor3Test, ContractMode3MatchesBruteForce) {
   la::Vector x(6), y(6);
   for (double& v : x) v = rng.Uniform(0.0, 1.0);
   for (double& v : y) v = rng.Uniform(0.0, 1.0);
-  const la::Vector w = t.ContractMode3(x, y);
+  la::DenseMatrix w(4, 1);
+  la::PanelWorkspace ws;
+  t.ContractMode3Panel(Column(x), Column(y), 1, &w, &ws);
   for (std::size_t k = 0; k < 4; ++k) {
     double expect = 0.0;
     for (std::size_t i = 0; i < 6; ++i) {
@@ -131,14 +143,19 @@ TEST(SparseTensor3Test, ContractMode3MatchesBruteForce) {
         expect += t.At(i, j, k) * x[i] * y[j];
       }
     }
-    EXPECT_NEAR(w[k], expect, 1e-12);
+    EXPECT_NEAR(w.At(k, 0), expect, 1e-12);
   }
 }
 
 TEST(SparseTensor3Test, ContractionSizeChecks) {
   const SparseTensor3 t = Sample();
-  EXPECT_THROW(t.ContractMode1(la::Vector(2), la::Vector(2)), CheckError);
-  EXPECT_THROW(t.ContractMode3(la::Vector(3), la::Vector(2)), CheckError);
+  la::DenseMatrix y(3, 1);
+  la::DenseMatrix w(2, 1);
+  la::PanelWorkspace ws;
+  const la::DenseMatrix two(2, 1);
+  const la::DenseMatrix three(3, 1);
+  EXPECT_THROW(t.ContractMode1Panel(two, two, 1, &y, &ws), CheckError);
+  EXPECT_THROW(t.ContractMode3Panel(three, two, 1, &w, &ws), CheckError);
 }
 
 }  // namespace

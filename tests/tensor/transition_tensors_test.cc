@@ -5,6 +5,7 @@
 #include "tmark/common/check.h"
 #include "tmark/common/random.h"
 #include "tmark/datasets/paper_example.h"
+#include "tmark/la/panel.h"
 #include "tmark/la/vector_ops.h"
 
 namespace tmark::tensor {
@@ -103,13 +104,36 @@ TEST(TransitionTensorsTest, UnlinkedPairIsUniformOverRelations) {
   EXPECT_DOUBLE_EQ(t.REntry(2, 0, 1), 0.5);
 }
 
+/// O x1 x x3 z and R x1 x x2 y through the panel kernels at width 1 (the
+/// vector case; an n x 1 panel's storage is the vector itself).
+la::Vector ApplyO(const TransitionTensors& t, const la::Vector& x,
+                  const la::Vector& z) {
+  la::DenseMatrix xp(x.size(), 1), zp(z.size(), 1), y(x.size(), 1);
+  xp.data() = x;
+  zp.data() = z;
+  la::PanelWorkspace ws;
+  t.ApplyOPanel(xp, zp, 1, &y, &ws);
+  return y.data();
+}
+
+la::Vector ApplyR(const TransitionTensors& t, const la::Vector& x,
+                  const la::Vector& y) {
+  la::DenseMatrix xp(x.size(), 1), yp(y.size(), 1);
+  la::DenseMatrix w(t.num_relations(), 1);
+  xp.data() = x;
+  yp.data() = y;
+  la::PanelWorkspace ws;
+  t.ApplyRPanel(xp, yp, 1, &w, &ws);
+  return w.data();
+}
+
 TEST(TransitionTensorsTest, ApplyOMatchesDenseReference) {
   Rng rng(3);
   const SparseTensor3 a = RandomTensor(7, 3, 0.2, &rng);
   const TransitionTensors t = TransitionTensors::Build(a);
   const la::Vector x = RandomProbability(7, &rng);
   const la::Vector z = RandomProbability(3, &rng);
-  const la::Vector fast = t.ApplyO(x, z);
+  const la::Vector fast = ApplyO(t, x, z);
   for (std::size_t i = 0; i < 7; ++i) {
     double expect = 0.0;
     for (std::size_t j = 0; j < 7; ++j) {
@@ -126,7 +150,7 @@ TEST(TransitionTensorsTest, ApplyRMatchesDenseReference) {
   const SparseTensor3 a = RandomTensor(6, 4, 0.15, &rng);
   const TransitionTensors t = TransitionTensors::Build(a);
   const la::Vector x = RandomProbability(6, &rng);
-  const la::Vector fast = t.ApplyR(x, x);
+  const la::Vector fast = ApplyR(t, x, x);
   for (std::size_t k = 0; k < 4; ++k) {
     double expect = 0.0;
     for (std::size_t i = 0; i < 6; ++i) {
@@ -150,8 +174,8 @@ TEST_P(SimplexPreservationTest, ApplyOAndApplyRStayOnSimplex) {
   la::Vector x = RandomProbability(n, &rng);
   la::Vector z = RandomProbability(m, &rng);
   for (int step = 0; step < 5; ++step) {
-    x = t.ApplyO(x, z);
-    z = t.ApplyR(x, x);
+    x = ApplyO(t, x, z);
+    z = ApplyR(t, x, x);
     EXPECT_TRUE(la::IsProbabilityVector(x, 1e-9));
     EXPECT_TRUE(la::IsProbabilityVector(z, 1e-9));
   }

@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -93,9 +94,31 @@ struct Args {
   }
 };
 
+/// Flags every command accepts.
+const std::set<std::string> kGlobalFlags = {
+    "log-level",    "metrics-json", "trace-json",
+    "trace-chrome", "profile-json", "threads"};
+
+/// Flags each command reads beyond the global ones; any other flag is an
+/// unknown-flag usage error rather than being silently ignored.
+const std::map<std::string, std::set<std::string>> kCommandFlags = {
+    {"generate", {"preset", "nodes", "seed", "out"}},
+    {"info", {"hin"}},
+    {"classify",
+     {"hin", "method", "train-fraction", "alpha", "gamma", "seed",
+      "fp32-panels"}},
+    {"rank",
+     {"hin", "train-fraction", "alpha", "gamma", "top", "seed", "fp32-panels",
+      "save-model", "model"}},
+    {"serve",
+     {"hin", "serve-socket", "serve-port", "train-fraction", "alpha", "gamma",
+      "seed", "batch-window-us", "max-batch", "max-queue", "max-requests"}},
+};
+
 Args Parse(int argc, char** argv) {
   Args args;
   if (argc >= 2) args.command = argv[1];
+  const auto known = kCommandFlags.find(args.command);
   for (int i = 2; i < argc; i += 2) {
     const std::string key = argv[i];
     if (key.rfind("--", 0) != 0) {
@@ -104,7 +127,12 @@ Args Parse(int argc, char** argv) {
     if (i + 1 >= argc) {
       throw FlagError("missing value for " + key);
     }
-    args.flags[key.substr(2)] = argv[i + 1];
+    const std::string name = key.substr(2);
+    if (known != kCommandFlags.end() && known->second.count(name) == 0 &&
+        kGlobalFlags.count(name) == 0) {
+      throw FlagError("unknown flag " + key + " for " + args.command);
+    }
+    args.flags[name] = argv[i + 1];
   }
   return args;
 }
@@ -118,12 +146,10 @@ int Usage() {
                "  info     --hin FILE\n"
                "  classify --hin FILE [--method NAME] [--train-fraction F]\n"
                "           [--alpha A] [--gamma G] [--seed S]\n"
-               "           [--fit-mode per_class|batched] "
-               "[--fp32-panels on|off]\n"
+               "           [--fp32-panels on|off]\n"
                "  rank     --hin FILE [--train-fraction F] [--alpha A]\n"
                "           [--gamma G] [--top K] [--seed S]\n"
-               "           [--fit-mode per_class|batched] "
-               "[--fp32-panels on|off]\n"
+               "           [--fp32-panels on|off]\n"
                "           [--save-model FILE | --model FILE]\n"
                "  serve    --hin FILE --serve-socket PATH | --serve-port N\n"
                "           [--train-fraction F] [--alpha A] [--gamma G]\n"
@@ -168,14 +194,6 @@ struct ObsFlags {
         trace_json(args.Get("trace-json", "")),
         trace_chrome(args.Get("trace-chrome", "")),
         profile_json(args.Get("profile-json", "")) {
-    // --profile-json is the only --profile-* flag; catch typos like
-    // --profile-out under the usage-error contract instead of silently
-    // ignoring them.
-    for (const auto& [key, value] : args.flags) {
-      if (key.rfind("profile-", 0) == 0 && key != "profile-json") {
-        throw FlagError("unknown flag --" + key);
-      }
-    }
     const std::string level = args.Get("log-level", "");
     if (!level.empty()) {
       const auto parsed = obs::ParseLogLevel(level);
@@ -268,21 +286,8 @@ struct ObsFlags {
   }
 };
 
-/// Parses --fit-mode (default: the batched engine — both engines are
-/// bit-identical, see docs/PERFORMANCE.md).
-core::FitMode GetFitMode(const Args& args) {
-  const std::string raw = args.Get("fit-mode", "");
-  if (raw.empty()) return core::FitMode::kBatched;
-  core::FitMode mode;
-  if (!core::TryParseFitMode(raw, &mode)) {
-    throw FlagError("invalid value '" + raw +
-                    "' for --fit-mode (expected per_class|batched)");
-  }
-  return mode;
-}
-
 /// Parses --fp32-panels (default off — the opt-in fp32 panel-storage mode
-/// of the batched engine, core/tmark.h).
+/// of the fit, core/tmark.h).
 bool GetFp32Panels(const Args& args) {
   const std::string raw = args.Get("fp32-panels", "");
   if (raw.empty() || raw == "off") return false;
@@ -348,8 +353,7 @@ Status Classify(const Args& args) {
   auto clf = baselines::TryMakeClassifier(method,
                                           args.GetDouble("alpha", 0.8),
                                           args.GetDouble("gamma", 0.6),
-                                          0.7, GetFitMode(args),
-                                          GetFp32Panels(args));
+                                          0.7, GetFp32Panels(args));
   if (clf == nullptr) {
     return InvalidArgumentError("unknown method '" + method + "'");
   }
@@ -370,7 +374,6 @@ Status Rank(const Args& args) {
   core::TMarkConfig config;
   config.alpha = args.GetDouble("alpha", 0.8);
   config.gamma = args.GetDouble("gamma", 0.6);
-  config.fit_mode = GetFitMode(args);
   config.fp32_panels = GetFp32Panels(args);
   core::TMarkClassifier clf(config);
   if (!model_path.empty()) {
@@ -421,7 +424,6 @@ Status Serve(const Args& args) {
   serve::DaemonOptions options;
   options.config.alpha = args.GetDouble("alpha", 0.8);
   options.config.gamma = args.GetDouble("gamma", 0.6);
-  options.config.fit_mode = GetFitMode(args);
   options.batcher.batch_window_us = args.GetSize("batch-window-us", 200);
   options.batcher.max_batch = args.GetSize("max-batch", 16);
   options.batcher.max_queue = args.GetSize("max-queue", 256);
