@@ -36,7 +36,7 @@ hin::Hin MakeHin(std::size_t n, std::size_t q, std::uint64_t seed) {
   datasets::SyntheticHinConfig config;
   config.num_nodes = n;
   for (std::size_t c = 0; c < q; ++c) {
-    config.class_names.push_back("C" + std::to_string(c));
+    config.class_names.push_back('C' + std::to_string(c));
   }
   config.vocab_size = 40 * q;
   config.words_per_node = 15.0;
@@ -44,7 +44,7 @@ hin::Hin MakeHin(std::size_t n, std::size_t q, std::uint64_t seed) {
   config.seed = seed;
   for (int k = 0; k < 4; ++k) {
     datasets::RelationSpec spec;
-    spec.name = "r" + std::to_string(k);
+    spec.name = 'r' + std::to_string(k);
     spec.same_class_prob = 0.8;
     spec.edges_per_member = 3.0;
     config.relations.push_back(spec);

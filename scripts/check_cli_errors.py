@@ -64,6 +64,19 @@ def expect_usage_error(cli, argv, label):
         fail(label, f"first stderr line must start with 'error: ': {lines!r}")
 
 
+def expect_removed_flag(cli, argv, message, label):
+    """A removed flag fails as an unknown one: exit 2 and exactly one
+    `error: <message>` line, leading stderr (the usage text follows)."""
+    proc = run(cli, argv)
+    errors = [l for l in proc.stderr.splitlines() if l.startswith("error:")]
+    if proc.returncode != 2:
+        fail(label, f"expected exit code 2, got {proc.returncode}")
+    elif errors != [f"error: {message}"] or not proc.stderr.startswith(
+            "error:"):
+        fail(label, f"expected one leading 'error: {message}' line, got "
+                    f"{proc.stderr!r}")
+
+
 def expect_ok(cli, argv, label):
     proc = run(cli, argv)
     if proc.returncode != 0:
@@ -146,18 +159,13 @@ def main():
         # Removed flags fail through the unknown-flag path: exit 2 and one
         # `error:` line naming the flag (then the usage text), never a
         # silently ignored option.
-        proc = run(args.cli, ["classify", "--hin", good,
-                              "--fit-mode", "batched"])
-        errors = [l for l in proc.stderr.splitlines()
-                  if l.startswith("error:")]
-        if proc.returncode != 2:
-            fail("classify removed --fit-mode",
-                 f"expected exit code 2, got {proc.returncode}")
-        elif (len(errors) != 1 or "unknown flag --fit-mode" not in errors[0]
-              or not proc.stderr.startswith("error:")):
-            fail("classify removed --fit-mode",
-                 f"expected one leading 'error: unknown flag --fit-mode' "
-                 f"line, got {proc.stderr!r}")
+        for command, flag, value in (("classify", "--fit-mode", "batched"),
+                                     ("classify", "--fp32-panels", "on"),
+                                     ("rank", "--fp32-panels", "off")):
+            expect_removed_flag(args.cli,
+                                [command, "--hin", good, flag, value],
+                                f"unknown flag {flag} for {command}",
+                                f"{command} removed {flag}")
 
         # Serving flags honor the same contract: a serve command that cannot
         # start must exit 2 with a single error line, not hang or abort.

@@ -2,15 +2,16 @@
 """Gate for the scaling bench (docs/PERFORMANCE.md "Scaling").
 
 Reads a TMARK_BENCH_JSON dump from bench_perf_scaling and asserts, for
-every (n, threads) cell of the "scaling curve" table:
+every n of the "scaling curve" table (one row per (n, threads)):
 
-  * both dispatch rows ("sharded" and "fixed") are present,
-  * their iteration counts agree (the dispatches are bit-identical, so a
-    mismatch means two different workloads were timed),
-  * the sharded dispatch's ms_per_iter does not exceed the fixed dispatch's
-    by more than --slack (default 1.5x — deliberately generous, like
-    check_fit_engine.py: the gate catches a sharded path that regressed to
-    uselessness, not timing noise on a loaded CI machine),
+  * a 1-thread row is present, and no (n, threads) cell appears twice,
+  * every thread count ran the same number of iterations (the fit is
+    bit-identical across thread counts, so a mismatch means two different
+    workloads were timed),
+  * no N-thread row's ms_per_iter exceeds the 1-thread row's by more than
+    --slack (default 1.5x — deliberately generous, like
+    check_fit_engine.py: the gate catches a parallel dispatch that
+    regressed to uselessness, not timing noise on a loaded CI machine),
 
 and, for every row of the "scaling memory" table, that the compact
 (adaptive 32-bit) structures are strictly smaller than the forced-wide
@@ -52,34 +53,35 @@ def columns(table, names, path):
 
 
 def check_curve(table, slack, path):
-    n_col, t_col, d_col, iter_col, per_col = columns(
-        table, ["n", "threads", "dispatch", "iterations", "ms_per_iter"],
-        path)
+    n_col, t_col, iter_col, per_col = columns(
+        table, ["n", "threads", "iterations", "ms_per_iter"], path)
     cells = collections.defaultdict(dict)
     for row in table["rows"]:
-        cells[(row[n_col], row[t_col])][row[d_col]] = (
-            int(row[iter_col]), float(row[per_col]))
+        by_threads = cells[row[n_col]]
+        threads = int(row[t_col])
+        if threads in by_threads:
+            raise ValueError(
+                f"{path}: n={row[n_col]} threads={threads}: duplicate row")
+        by_threads[threads] = (int(row[iter_col]), float(row[per_col]))
     if not cells:
         raise ValueError(f"{path}: '{CURVE_TITLE}' table has no rows")
-    for (n, threads), by_dispatch in sorted(cells.items()):
-        where = f"n={n} threads={threads}"
-        for dispatch in ("sharded", "fixed"):
-            if dispatch not in by_dispatch:
-                raise ValueError(f"{path}: {where}: no '{dispatch}' row")
-        sharded_iters, sharded = by_dispatch["sharded"]
-        fixed_iters, fixed = by_dispatch["fixed"]
-        if sharded_iters != fixed_iters:
-            raise ValueError(
-                f"{path}: {where}: iteration counts differ (sharded "
-                f"{sharded_iters} vs fixed {fixed_iters}) — dispatches "
-                "diverged?")
-        if sharded > fixed * slack:
-            raise ValueError(
-                f"{path}: {where}: sharded dispatch is too slow: "
-                f"{sharded:.5f} ms/iter vs fixed {fixed:.5f} ms/iter "
-                f"(allowed up to {fixed * slack:.5f} with slack {slack})")
-        print(f"check_scaling_bench: {where}: sharded {sharded:.5f} "
-              f"vs fixed {fixed:.5f} ms/iter")
+    for n, by_threads in sorted(cells.items(), key=lambda kv: int(kv[0])):
+        if 1 not in by_threads:
+            raise ValueError(f"{path}: n={n}: no 1-thread row")
+        base_iters, base = by_threads[1]
+        for threads, (iters, per_iter) in sorted(by_threads.items()):
+            where = f"n={n} threads={threads}"
+            if iters != base_iters:
+                raise ValueError(
+                    f"{path}: {where}: iteration count {iters} differs from "
+                    f"the 1-thread row's {base_iters} — fits diverged?")
+            if per_iter > base * slack:
+                raise ValueError(
+                    f"{path}: {where}: too slow: {per_iter:.5f} ms/iter vs "
+                    f"1 thread {base:.5f} ms/iter (allowed up to "
+                    f"{base * slack:.5f} with slack {slack})")
+            print(f"check_scaling_bench: {where}: {per_iter:.5f} vs "
+                  f"1 thread {base:.5f} ms/iter")
 
 
 def check_memory(table, path):
@@ -105,7 +107,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("file")
     parser.add_argument("--slack", type=float, default=1.5,
-                        help="allowed sharded/fixed ms_per_iter ratio")
+                        help="allowed N-thread/1-thread ms_per_iter ratio")
     args = parser.parse_args()
 
     try:

@@ -32,7 +32,6 @@ void PanelSolver::Reset(const PreparedOperators& ops,
     z_ = la::DenseMatrix(m, x_.cols());
     z_next_ = la::DenseMatrix(m, x_.cols());
   }
-  if (options_.fp32_panels) x_f32_.Resize(n, x_.cols());
 }
 
 std::size_t PanelSolver::Run(const PanelSolverHooks& hooks) {
@@ -53,14 +52,7 @@ std::size_t PanelSolver::Run(const PanelSolverHooks& hooks) {
     if (hooks.refresh) hooks.refresh(t, width, ids_, x_, &l_);
     {
       obs::ScopedTimer phase("tmark.fit.phase.tensor_product_ms", timed);
-      if (options_.fp32_panels) {
-        // Refresh the fp32 mirror from the authoritative fp64 panel (the
-        // compaction moves only touch the fp64 panel) and gather from it.
-        la::DemoteLeadingColumns(x_, width, &x_f32_);
-        tensors.ApplyOPanelF32(x_f32_, z_, width, &x_next_, &ws_);
-      } else {
-        tensors.ApplyOPanel(x_, z_, width, &x_next_, &ws_);
-      }
+      tensors.ApplyOPanel(x_, z_, width, &x_next_, &ws_);
     }
     {
       obs::ScopedTimer phase("tmark.fit.phase.feature_walk_ms", timed);

@@ -29,7 +29,6 @@
 #include "tmark/core/prepared_operators.h"
 #include "tmark/la/dense_matrix.h"
 #include "tmark/la/panel.h"
-#include "tmark/la/panel_f32.h"
 #include "tmark/la/vector_ops.h"
 
 namespace tmark::core {
@@ -40,8 +39,6 @@ struct PanelSolverOptions {
   double beta = 0.12;    ///< Feature-walk weight gamma * (1 - alpha).
   double epsilon = 1e-8;
   int max_iterations = 100;
-  /// fp32 mirror of the x panel for the O contraction (TMarkConfig).
-  bool fp32_panels = false;
   /// Counters "<prefix>.iterations" (column-iterations) and
   /// "<prefix>.unconverged" (columns that hit max_iterations).
   std::string metric_prefix = "tmark.fit";
@@ -100,7 +97,6 @@ class PanelSolver {
   la::DenseMatrix x_next_;
   la::DenseMatrix z_next_;
   la::DenseMatrix wx_;
-  la::PanelF32 x_f32_;
   la::Vector rho_x_;
   la::Vector rho_z_;
   la::Vector x_sums_;

@@ -339,7 +339,6 @@ void SolveTMarkClasses(const TMarkConfig& config, const hin::Hin& hin,
   options.beta = config.beta();
   options.epsilon = config.epsilon;
   options.max_iterations = config.max_iterations;
-  options.fp32_panels = config.fp32_panels;
   options.phase_timers = true;
   PanelSolver solver(std::move(options));
   solver.Reset(ops, classes);

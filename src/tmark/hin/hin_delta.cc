@@ -81,8 +81,14 @@ const char* KindName(EdgeOp::Kind kind) {
 }
 
 std::string EdgeKey(const EdgeOp& op) {
-  return "(" + std::to_string(op.relation) + ", " + std::to_string(op.dst) +
-         ", " + std::to_string(op.src) + ")";
+  std::string key = "(";
+  key += std::to_string(op.relation);
+  key += ", ";
+  key += std::to_string(op.dst);
+  key += ", ";
+  key += std::to_string(op.src);
+  key += ')';
+  return key;
 }
 
 Result<HinDelta> LoadHinDeltaImpl(std::istream& in) {

@@ -69,34 +69,6 @@ void ParallelChunks(std::size_t count, std::size_t num_chunks, Body&& body) {
   });
 }
 
-/// Runs body(i, bounds[i], bounds[i+1]) for every i in
-/// [0, bounds.size() - 1) — caller-chosen contiguous ranges (e.g. the
-/// nnz-balanced LLC shards of the merged tensor view), one pool task each.
-/// With fewer than two boundaries nothing runs; with exactly one range the
-/// body runs inline on the calling thread (the guaranteed serial path). The
-/// boundaries come from the caller's structure alone, so kernels with
-/// disjoint per-range outputs stay bit-identical at any thread count. Like
-/// ParallelChunks, dispatch captures a single pointer so steady-state calls
-/// allocate nothing.
-template <typename Body>
-void ParallelBoundedRanges(const std::vector<std::size_t>& bounds,
-                           Body&& body) {
-  if (bounds.size() < 2) return;
-  const std::size_t tasks = bounds.size() - 1;
-  if (tasks == 1) {
-    body(std::size_t{0}, bounds[0], bounds[1]);
-    return;
-  }
-  struct Ctx {
-    const std::size_t* bounds;
-    std::remove_reference_t<Body>* body;
-  } ctx{bounds.data(), &body};
-  Ctx* const p = &ctx;
-  GlobalPool().Run(tasks, [p](std::size_t i) {
-    (*p->body)(i, p->bounds[i], p->bounds[i + 1]);
-  });
-}
-
 /// Runs body(begin, end) over grain-sized ranges of [0, count).
 template <typename Body>
 void ParallelForRanges(std::size_t count, std::size_t grain, Body&& body) {

@@ -74,10 +74,10 @@ Result<Response> ServingDaemon::Execute(const Request& request) {
   obs::IncrCounter("serve.requests");
   TMARK_ASSIGN_OR_RETURN(hin::HinDelta delta,
                          hin::LoadHinDeltaFromFile(request.path));
-  TMARK_RETURN_IF_ERROR(BeginUpdate(std::move(delta)));
   // Answer with the generation the background refresh is about to replace;
   // stale = true tells the client a refresh window is open.
-  const BundleHolder::View view = bundles_.Acquire();
+  BundleHolder::View view;
+  TMARK_RETURN_IF_ERROR(BeginUpdate(std::move(delta), &view));
   Response response;
   response.kind = RequestKind::kUpdate;
   response.stale = view.stale;
@@ -107,7 +107,8 @@ Status ServingDaemon::ApplyUpdate(const hin::HinDelta& delta) {
   return Status::Ok();
 }
 
-Status ServingDaemon::BeginUpdate(hin::HinDelta delta) {
+Status ServingDaemon::BeginUpdate(hin::HinDelta delta,
+                                  BundleHolder::View* pre_swap) {
   std::lock_guard<std::mutex> lock(update_mu_);
   if (!initialized_) {
     return FailedPreconditionError("daemon is not initialized");
@@ -122,6 +123,7 @@ Status ServingDaemon::BeginUpdate(hin::HinDelta delta) {
   if (update_thread_.joinable()) update_thread_.join();
   update_running_ = true;
   bundles_.BeginRefresh();
+  if (pre_swap != nullptr) *pre_swap = bundles_.Acquire();
   update_thread_ = std::thread([this, moved = std::move(delta)] {
     // hin_/classifier_/next_generation_ are exclusively this thread's
     // until update_running_ flips back under the mutex: every other writer

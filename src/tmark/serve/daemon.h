@@ -69,7 +69,11 @@ class ServingDaemon {
   Status ApplyUpdate(const hin::HinDelta& delta);
 
   /// Background update; kFailedPrecondition when one is already running.
-  Status BeginUpdate(hin::HinDelta delta);
+  /// A non-null `pre_swap` receives the bundle the refresh will replace,
+  /// taken after the refresh window opened (stale = true) and before the
+  /// refresh thread starts, so a fast refresh cannot publish first.
+  Status BeginUpdate(hin::HinDelta delta,
+                     BundleHolder::View* pre_swap = nullptr);
 
   /// Joins a running background update (no-op otherwise) and returns its
   /// status (OK when none ran).

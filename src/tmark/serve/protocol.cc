@@ -137,15 +137,19 @@ std::string FormatRequest(const Request& request) {
   std::string out(ToString(request.kind));
   switch (request.kind) {
     case RequestKind::kClassify:
-      out += " " + std::to_string(request.node);
+      out += ' ';
+      out += std::to_string(request.node);
       break;
     case RequestKind::kRank:
     case RequestKind::kTopK:
-      out += " " + std::to_string(request.node) + " " +
-             std::to_string(request.top_k);
+      out += ' ';
+      out += std::to_string(request.node);
+      out += ' ';
+      out += std::to_string(request.top_k);
       break;
     case RequestKind::kUpdate:
-      out += " " + request.path;
+      out += ' ';
+      out += request.path;
       break;
   }
   return out;
@@ -154,12 +158,18 @@ std::string FormatRequest(const Request& request) {
 std::string FormatResponse(const Response& response) {
   std::string out = "ok ";
   out += ToString(response.kind);
-  out += " " + std::to_string(response.node);
+  out += ' ';
+  out += std::to_string(response.node);
   out += response.stale ? " 1" : " 0";
-  out += " " + std::to_string(response.generation);
-  out += " " + std::to_string(response.fingerprint);
+  out += ' ';
+  out += std::to_string(response.generation);
+  out += ' ';
+  out += std::to_string(response.fingerprint);
   for (const ScoredEntry& entry : response.entries) {
-    out += " " + std::to_string(entry.index) + ":" + FormatScore(entry.score);
+    out += ' ';
+    out += std::to_string(entry.index);
+    out += ':';
+    out += FormatScore(entry.score);
   }
   return out;
 }

@@ -24,7 +24,7 @@ hin::Hin ConfigHin(std::uint64_t seed) {
   config.seed = seed;
   for (int k = 0; k < 3; ++k) {
     datasets::RelationSpec rel;
-    rel.name = "r" + std::to_string(k);
+    rel.name = 'r' + std::to_string(k);
     rel.same_class_prob = k == 0 ? 0.9 : 0.5;
     rel.edges_per_member = 3.0;
     config.relations.push_back(rel);

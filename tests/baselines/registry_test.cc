@@ -46,7 +46,7 @@ TEST(RegistryTest, TensorRrCcHasIcaDisabled) {
 TEST(RegistryTest, ConstructedClassifiersFitTheExample) {
   // Cheap smoke: the two tensor methods run end-to-end via the interface.
   const hin::Hin hin = datasets::MakePaperExample();
-  for (const std::string& name : {"T-Mark", "TensorRrCc"}) {
+  for (const char* name : {"T-Mark", "TensorRrCc"}) {
     auto clf = MakeClassifier(name);
     clf->Fit(hin, datasets::PaperExampleLabeledNodes());
     EXPECT_EQ(clf->Confidences().rows(), 4u);

@@ -96,7 +96,7 @@ TEST(SelectRelationChannelsTest, LargeHinPoolsTail) {
   hin::HinBuilder b(10, 1);
   b.AddClass("A");
   for (int k = 0; k < 5; ++k) {
-    const std::size_t rk = b.AddRelation("r" + std::to_string(k));
+    const std::size_t rk = b.AddRelation('r' + std::to_string(k));
     // Relation k gets k+1 distinct edges so the ordering is deterministic.
     for (int e = 0; e <= k; ++e) {
       b.AddDirectedEdge(rk, static_cast<std::size_t>(e),

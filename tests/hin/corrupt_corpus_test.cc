@@ -4,6 +4,7 @@
 // This binary carries the `sanitize` ctest label so the corpus also runs
 // under TMARK_SANITIZE=address builds.
 
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -28,6 +29,11 @@ struct HinCase {
   const char* file;
   StatusCode expected;
 };
+
+// gtest prints each case into its test name ("# GetParam() = ..."); print
+// the fixture file name so the name is the same on every build, rather than
+// the struct's raw bytes (a pointer plus padding).
+void PrintTo(const HinCase& c, std::ostream* os) { *os << c.file; }
 
 class CorruptHinCorpusTest : public ::testing::TestWithParam<HinCase> {};
 
@@ -66,6 +72,8 @@ struct DeltaCase {
   StatusCode expected;
 };
 
+void PrintTo(const DeltaCase& c, std::ostream* os) { *os << c.file; }
+
 class CorruptDeltaCorpusTest : public ::testing::TestWithParam<DeltaCase> {};
 
 TEST_P(CorruptDeltaCorpusTest, YieldsExpectedStatus) {
@@ -101,6 +109,8 @@ struct ModelCase {
   const char* file;
   StatusCode expected;
 };
+
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << c.file; }
 
 class CorruptModelCorpusTest : public ::testing::TestWithParam<ModelCase> {};
 

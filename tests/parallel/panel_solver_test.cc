@@ -57,7 +57,7 @@ hin::Hin Random(std::size_t n, std::size_t q, std::uint64_t seed) {
   datasets::SyntheticHinConfig config;
   config.num_nodes = n;
   for (std::size_t c = 0; c < q; ++c) {
-    config.class_names.push_back("c" + std::to_string(c));
+    config.class_names.push_back('c' + std::to_string(c));
   }
   config.relations = {{"r0", 0.8, 0.0, 2.0, {}, false},
                       {"r1", 0.5, 0.3, 1.5, {}, true},
@@ -83,10 +83,10 @@ hin::Hin Build(const Shape& shape) {
   constexpr std::size_t d = 6;
   hin::HinBuilder builder(shape.n, d);
   for (std::size_t c = 0; c < shape.q; ++c) {
-    builder.AddClass("c" + std::to_string(c));
+    builder.AddClass('c' + std::to_string(c));
   }
   for (std::size_t k = 0; k < shape.m; ++k) {
-    builder.AddRelation("r" + std::to_string(k));
+    builder.AddRelation('r' + std::to_string(k));
   }
   const std::size_t linked = shape.isolated ? shape.n - 1 : shape.n;
   for (std::size_t i = 0; i < linked; ++i) {

@@ -1,15 +1,12 @@
-// Bit-identity tests for the LLC-sharded merged-view dispatch: a fit run
-// under any shard budget — pathologically tiny, the LLC-sized default, or
-// one so large the plan collapses to a single shard — must equal the
-// per-class schedule of width-1 solves (fit_oracles.h, itself held against
-// the dense reference) bit for bit at every thread count, with sharding
-// enabled, disabled, and with the compact index arrays forced wide. The
-// shard plan shapes work assignment only; these tests pin that contract.
+// Bit-identity tests for the merged-view dispatch on the fixed chunk grid:
+// a fit must equal the per-class schedule of width-1 solves (fit_oracles.h,
+// itself held against the dense reference) bit for bit at every thread
+// count, with the compact index arrays and with them forced wide. The chunk
+// grid shapes work assignment only; these tests pin that contract.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -18,7 +15,6 @@
 #include "tmark/datasets/synthetic_hin.h"
 #include "tmark/la/index_array.h"
 #include "tmark/parallel/thread_pool.h"
-#include "tmark/tensor/sharding.h"
 
 #include "fit_oracles.h"
 
@@ -26,12 +22,10 @@ namespace tmark {
 namespace {
 
 // Restores every global knob the tests touch, so a failing assertion cannot
-// leak a tiny budget or a forced-wide build into later tests.
+// leak a thread count or a forced-wide build into later tests.
 struct KnobGuard {
   ~KnobGuard() {
     parallel::SetNumThreads(0);
-    tensor::SetMergedShardBudgetBytes(0);
-    tensor::SetMergedShardingEnabled(true);
     la::SetForceWideIndexArrays(false);
   }
 };
@@ -83,15 +77,15 @@ void ExpectBitIdentical(const FitOutputs& golden, const FitOutputs& other) {
   }
 }
 
-TEST(ShardedFitTest, BitIdenticalAcrossShardBudgetsAndThreadCounts) {
+TEST(ShardedFitTest, BitIdenticalAcrossThreadCounts) {
   KnobGuard guard;
   const hin::Hin hin = MakeTestHin();
   const std::vector<std::size_t> labeled = EveryThird(hin);
 
   const core::TMarkConfig config;
 
-  // Golden: the per-class schedule, serial, default sharding config, within
-  // a small multiple of epsilon of the dense reference.
+  // Golden: the per-class schedule, serial, within a small multiple of
+  // epsilon of the dense reference.
   parallel::SetNumThreads(1);
   FitOutputs golden;
   testing_ref::PerClassSchedule(hin, labeled, config, /*warm_refit=*/false,
@@ -111,36 +105,9 @@ TEST(ShardedFitTest, BitIdenticalAcrossShardBudgetsAndThreadCounts) {
               100 * config.epsilon);
   }
 
-  // 1 byte forces one shard per row (clamped by kMaxMergedShards); the
-  // default budget puts this whole test graph in one LLC block; SIZE_MAX
-  // collapses the plan to a single shard outright.
-  const std::size_t budgets[] = {1, tensor::kDefaultMergedShardBudgetBytes,
-                                 std::numeric_limits<std::size_t>::max()};
-  for (const std::size_t budget : budgets) {
-    SCOPED_TRACE("budget " + std::to_string(budget));
-    tensor::SetMergedShardBudgetBytes(budget);
-    for (const int threads : {1, 4}) {
-      SCOPED_TRACE("threads " + std::to_string(threads));
-      ExpectBitIdentical(golden, RunFit(hin, labeled, config, threads));
-    }
-  }
-}
-
-TEST(ShardedFitTest, DisabledShardingMatchesEnabled) {
-  KnobGuard guard;
-  const hin::Hin hin = MakeTestHin();
-  const std::vector<std::size_t> labeled = EveryThird(hin);
-
-  const core::TMarkConfig batched;
-
-  tensor::SetMergedShardingEnabled(true);
-  tensor::SetMergedShardBudgetBytes(1);  // Maximal shard count.
-  const FitOutputs sharded = RunFit(hin, labeled, batched, 4);
-
-  tensor::SetMergedShardingEnabled(false);
   for (const int threads : {1, 4}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    ExpectBitIdentical(sharded, RunFit(hin, labeled, batched, threads));
+    ExpectBitIdentical(golden, RunFit(hin, labeled, config, threads));
   }
 }
 

@@ -130,7 +130,9 @@ TEST_P(HotSwapTest, ConcurrentQueriesNeverSeeATornBundle) {
           << "generation " << obs.generation << " served two fingerprints";
       // Degradation: stale answers only ever come from the pre-swap
       // generation — a freshly published bundle is by definition not stale.
-      if (obs.stale) EXPECT_EQ(obs.generation, 1u);
+      if (obs.stale) {
+        EXPECT_EQ(obs.generation, 1u);
+      }
       EXPECT_TRUE(obs.generation == 1u || obs.generation == 2u);
     }
   }
@@ -147,9 +149,10 @@ INSTANTIATE_TEST_SUITE_P(Clients, HotSwapTest, ::testing::Values(1, 4),
                          });
 
 // The `update` verb's own response is deterministically stale: BeginUpdate
-// opens the refresh window before the response acquires its view, so the
-// client that triggered the refresh is always told the answer describes
-// the generation about to be replaced.
+// hands back the response's view after it opens the refresh window and
+// before the refresh thread starts, so the client that triggered the
+// refresh is always told the answer describes the generation about to be
+// replaced — however fast the refresh publishes.
 TEST(HotSwapTest, UpdateVerbAnswersStaleWithThePreSwapGeneration) {
   hin::Hin hin = MakeTestHin();
   const hin::HinDelta delta = MakeFeatureDelta(hin);

@@ -9,6 +9,7 @@
 // the corpus also runs under TMARK_SANITIZE=address/thread builds.
 
 #include <fstream>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -31,6 +32,11 @@ struct WireCase {
   const char* file;
   StatusCode expected;
 };
+
+// gtest prints each case into its test name ("# GetParam() = ..."); print
+// the fixture file name so the name is the same on every build, rather than
+// the struct's raw bytes (a pointer plus padding).
+void PrintTo(const WireCase& c, std::ostream* os) { *os << c.file; }
 
 /// Feeds one fixture through the frame reader and, when the frame is
 /// intact, the request parser; returns the first failure.

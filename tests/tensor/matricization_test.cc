@@ -49,7 +49,9 @@ TEST(MatricizationTest, Mode1ColumnNormalizationEqualsEq1) {
       MatricizeMode1(a).NormalizeColumnsSparse(&dangling);
   const la::Vector colsums = o1.ColumnSums();
   for (std::size_t c = 0; c < o1.cols(); ++c) {
-    if (!dangling[c]) EXPECT_NEAR(colsums[c], 1.0, 1e-12);
+    if (!dangling[c]) {
+      EXPECT_NEAR(colsums[c], 1.0, 1e-12);
+    }
   }
 }
 

@@ -105,11 +105,10 @@ const std::map<std::string, std::set<std::string>> kCommandFlags = {
     {"generate", {"preset", "nodes", "seed", "out"}},
     {"info", {"hin"}},
     {"classify",
-     {"hin", "method", "train-fraction", "alpha", "gamma", "seed",
-      "fp32-panels"}},
+     {"hin", "method", "train-fraction", "alpha", "gamma", "seed"}},
     {"rank",
-     {"hin", "train-fraction", "alpha", "gamma", "top", "seed", "fp32-panels",
-      "save-model", "model"}},
+     {"hin", "train-fraction", "alpha", "gamma", "top", "seed", "save-model",
+      "model"}},
     {"serve",
      {"hin", "serve-socket", "serve-port", "train-fraction", "alpha", "gamma",
       "seed", "batch-window-us", "max-batch", "max-queue", "max-requests"}},
@@ -146,10 +145,8 @@ int Usage() {
                "  info     --hin FILE\n"
                "  classify --hin FILE [--method NAME] [--train-fraction F]\n"
                "           [--alpha A] [--gamma G] [--seed S]\n"
-               "           [--fp32-panels on|off]\n"
                "  rank     --hin FILE [--train-fraction F] [--alpha A]\n"
                "           [--gamma G] [--top K] [--seed S]\n"
-               "           [--fp32-panels on|off]\n"
                "           [--save-model FILE | --model FILE]\n"
                "  serve    --hin FILE --serve-socket PATH | --serve-port N\n"
                "           [--train-fraction F] [--alpha A] [--gamma G]\n"
@@ -286,16 +283,6 @@ struct ObsFlags {
   }
 };
 
-/// Parses --fp32-panels (default off — the opt-in fp32 panel-storage mode
-/// of the fit, core/tmark.h).
-bool GetFp32Panels(const Args& args) {
-  const std::string raw = args.Get("fp32-panels", "");
-  if (raw.empty() || raw == "off") return false;
-  if (raw == "on") return true;
-  throw FlagError("invalid value '" + raw +
-                  "' for --fp32-panels (expected on|off)");
-}
-
 /// Loads --hin through the Status boundary; the flag is required.
 Result<hin::Hin> LoadHinFlag(const Args& args) {
   const std::string path = args.Get("hin", "");
@@ -352,8 +339,7 @@ Status Classify(const Args& args) {
   }
   auto clf = baselines::TryMakeClassifier(method,
                                           args.GetDouble("alpha", 0.8),
-                                          args.GetDouble("gamma", 0.6),
-                                          0.7, GetFp32Panels(args));
+                                          args.GetDouble("gamma", 0.6));
   if (clf == nullptr) {
     return InvalidArgumentError("unknown method '" + method + "'");
   }
@@ -374,7 +360,6 @@ Status Rank(const Args& args) {
   core::TMarkConfig config;
   config.alpha = args.GetDouble("alpha", 0.8);
   config.gamma = args.GetDouble("gamma", 0.6);
-  config.fp32_panels = GetFp32Panels(args);
   core::TMarkClassifier clf(config);
   if (!model_path.empty()) {
     TMARK_ASSIGN_OR_RETURN(clf, core::LoadTMarkModelFromFile(model_path));
