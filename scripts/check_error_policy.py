@@ -23,7 +23,11 @@ import sys
 
 # Files where the banned lenient parsers must never reappear.
 BOUNDARY_SOURCES = [
+    "src/tmark/common/line_reader.cc",
+    "src/tmark/common/line_reader.h",
     "src/tmark/hin/hin_io.cc",
+    "src/tmark/hin/hin_delta.cc",
+    "src/tmark/hin/hin_delta.h",
     "src/tmark/core/model_io.cc",
     "src/tmark/serve/protocol.cc",
     "tools/tmark_cli.cc",
@@ -35,7 +39,8 @@ BANNED = re.compile(r"std::stoul|std::stod|std::stoi|std::stof|"
                     r"\batof\s*\(|\batoi\s*\(|\bstrtod\s*\(|\bstrtoul\s*\(")
 
 # Headers whose Load/Save declarations must use the Status layer.
-IO_HEADERS = ["src/tmark/hin/hin_io.h", "src/tmark/core/model_io.h"]
+IO_HEADERS = ["src/tmark/hin/hin_io.h", "src/tmark/hin/hin_delta.h",
+              "src/tmark/core/model_io.h"]
 
 DECL = re.compile(
     r"^\s*([A-Za-z_][\w:<>&,\s]*?)\s+((?:Load|Save)\w*)\s*\(", re.MULTILINE)

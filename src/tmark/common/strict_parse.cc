@@ -46,14 +46,18 @@ Result<std::size_t> ParseIndex(std::string_view token) {
   return value;
 }
 
+Status CheckIndexBound(std::size_t value, std::size_t bound,
+                       std::string_view what) {
+  if (value < bound) return Status::Ok();
+  return ParseError(std::string(what) + " " + std::to_string(value) +
+                    " out of range [0, " + std::to_string(bound) + ")");
+}
+
 Result<std::size_t> ParseBoundedIndex(std::string_view token,
                                       std::size_t bound,
                                       std::string_view what) {
   TMARK_ASSIGN_OR_RETURN(const std::size_t value, ParseIndex(token));
-  if (value >= bound) {
-    return ParseError(std::string(what) + " " + std::to_string(value) +
-                      " out of range [0, " + std::to_string(bound) + ")");
-  }
+  TMARK_RETURN_IF_ERROR(CheckIndexBound(value, bound, what));
   return value;
 }
 

@@ -25,8 +25,12 @@ namespace tmark {
 /// std::size_t are rejected. Errors are kParseError naming the token.
 Result<std::size_t> ParseIndex(std::string_view token);
 
-/// ParseIndex with an exclusive upper bound: the parsed index must be
-/// < `bound`, otherwise kParseError ("<what> 12 out of range [0, 5)").
+/// Ok when `value` < `bound`, otherwise kParseError ("<what> 12 out of
+/// range [0, 5)").
+Status CheckIndexBound(std::size_t value, std::size_t bound,
+                       std::string_view what);
+
+/// ParseIndex followed by CheckIndexBound.
 Result<std::size_t> ParseBoundedIndex(std::string_view token,
                                       std::size_t bound,
                                       std::string_view what);

@@ -1,72 +1,28 @@
 #include "tmark/hin/hin_delta.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <fstream>
-#include <iomanip>
 #include <map>
-#include <ostream>
 #include <set>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
 
-#include "tmark/common/check.h"
+#include "tmark/common/line_reader.h"
 #include "tmark/common/strict_parse.h"
-#include "tmark/common/string_util.h"
+#include "tmark/hin/hin_io.h"
 #include "tmark/la/sparse_matrix.h"
 #include "tmark/obs/metrics.h"
+#include "tmark/obs/trace.h"
 
 namespace tmark::hin {
 namespace {
 
 constexpr char kHeader[] = "# tmark-delta v1";
 
-/// Splits a stripped line on runs of ASCII whitespace.
-std::vector<std::string> Fields(const std::string& line) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[i]))) {
-      ++i;
-    }
-    std::size_t j = i;
-    while (j < line.size() &&
-           !std::isspace(static_cast<unsigned char>(line[j]))) {
-      ++j;
-    }
-    if (j > i) out.push_back(line.substr(i, j - i));
-    i = j;
-  }
-  return out;
-}
-
-std::string LineCtx(std::size_t line_no) {
-  return "line " + std::to_string(line_no);
-}
-
-Status AtLine(std::size_t line_no, const Status& status) {
-  return status.WithContext(LineCtx(line_no));
-}
-
-template <typename T>
-Result<T> AtLine(std::size_t line_no, Result<T> result) {
-  if (result.ok()) return result;
-  return result.status().WithContext(LineCtx(line_no));
-}
-
-/// Records the failure in the io.errors{code} counters (obs is a no-op
-/// branch while the metrics registry is disabled).
-Status CountIoError(Status status) {
-  if (!status.ok()) {
-    obs::IncrCounter("io.errors");
-    obs::IncrCounter(std::string("io.errors.") +
-                     std::string(StatusCodeMetricSuffix(status.code())));
-  }
-  return status;
-}
+using obs::CountIoError;
 
 const char* KindName(EdgeOp::Kind kind) {
   switch (kind) {
@@ -89,124 +45,6 @@ std::string EdgeKey(const EdgeOp& op) {
   key += std::to_string(op.src);
   key += ')';
   return key;
-}
-
-Result<HinDelta> LoadHinDeltaImpl(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line) || Strip(line) != kHeader) {
-    return ParseError(std::string("line 1: missing '") + kHeader +
-                      "' header");
-  }
-  std::size_t line_no = 1;
-  HinDelta delta;
-  // Batch-level duplicate detection happens while parsing — a duplicate op
-  // in one file is a malformed file (kParseError), whereas a duplicate fed
-  // through the builder API surfaces later as kInvalidArgument in Validate.
-  std::set<std::tuple<std::size_t, std::size_t, std::size_t>> seen_edges;
-  std::set<std::size_t> seen_feat_nodes;
-  std::set<std::pair<std::size_t, std::size_t>> seen_labels;
-
-  while (std::getline(in, line)) {
-    ++line_no;
-    const std::string stripped = Strip(line);
-    if (stripped.empty() || stripped[0] == '#') continue;
-    const std::vector<std::string> f = Fields(stripped);
-    const std::string& directive = f[0];
-    if (directive == "add_edge" || directive == "reweight_edge") {
-      if (f.size() != 5) {
-        return AtLine(line_no, ParseError("expected '" + directive +
-                                          " <k> <dst> <src> <w>'"));
-      }
-      EdgeOp op{};
-      TMARK_ASSIGN_OR_RETURN(op.relation, AtLine(line_no, ParseIndex(f[1])));
-      TMARK_ASSIGN_OR_RETURN(op.dst, AtLine(line_no, ParseIndex(f[2])));
-      TMARK_ASSIGN_OR_RETURN(op.src, AtLine(line_no, ParseIndex(f[3])));
-      TMARK_ASSIGN_OR_RETURN(op.weight,
-                             AtLine(line_no, ParsePositiveFiniteDouble(f[4])));
-      if (!seen_edges.emplace(op.relation, op.dst, op.src).second) {
-        return AtLine(line_no,
-                      ParseError("duplicate edge op on " + EdgeKey(op)));
-      }
-      if (directive == "add_edge") {
-        delta.AddEdge(op.relation, op.src, op.dst, op.weight);
-      } else {
-        delta.ReweightEdge(op.relation, op.src, op.dst, op.weight);
-      }
-    } else if (directive == "remove_edge") {
-      if (f.size() != 4) {
-        return AtLine(line_no,
-                      ParseError("expected 'remove_edge <k> <dst> <src>'"));
-      }
-      EdgeOp op{};
-      TMARK_ASSIGN_OR_RETURN(op.relation, AtLine(line_no, ParseIndex(f[1])));
-      TMARK_ASSIGN_OR_RETURN(op.dst, AtLine(line_no, ParseIndex(f[2])));
-      TMARK_ASSIGN_OR_RETURN(op.src, AtLine(line_no, ParseIndex(f[3])));
-      if (!seen_edges.emplace(op.relation, op.dst, op.src).second) {
-        return AtLine(line_no,
-                      ParseError("duplicate edge op on " + EdgeKey(op)));
-      }
-      delta.RemoveEdge(op.relation, op.src, op.dst);
-    } else if (directive == "feat") {
-      if (f.size() < 2) {
-        return AtLine(
-            line_no, ParseError("expected 'feat <node> <dim>:<value> ...'"));
-      }
-      std::size_t node = 0;
-      TMARK_ASSIGN_OR_RETURN(node, AtLine(line_no, ParseIndex(f[1])));
-      if (!seen_feat_nodes.insert(node).second) {
-        return AtLine(line_no, ParseError("duplicate feat row for node " +
-                                          std::to_string(node)));
-      }
-      std::vector<std::pair<std::size_t, double>> entries;
-      std::set<std::size_t> seen_dims;
-      for (std::size_t t = 2; t < f.size(); ++t) {
-        const std::string& tok = f[t];
-        const std::size_t colon = tok.find(':');
-        if (colon == std::string::npos) {
-          return AtLine(line_no, ParseError("malformed feat token '" + tok +
-                                            "' (expected <dim>:<value>)"));
-        }
-        TMARK_ASSIGN_OR_RETURN(
-            const std::size_t dim,
-            AtLine(line_no, ParseIndex(tok.substr(0, colon))));
-        TMARK_ASSIGN_OR_RETURN(
-            const double value,
-            AtLine(line_no, ParseFiniteDouble(tok.substr(colon + 1))));
-        if (value < 0.0) {
-          return AtLine(line_no,
-                        ParseError("negative feature value in '" + tok +
-                                   "' (features are non-negative counts)"));
-        }
-        if (!seen_dims.insert(dim).second) {
-          return AtLine(line_no, ParseError("duplicate feature dim " +
-                                            std::to_string(dim)));
-        }
-        entries.emplace_back(dim, value);
-      }
-      delta.UpdateFeatureRow(node, std::move(entries));
-    } else if (directive == "label") {
-      if (f.size() != 3) {
-        return AtLine(line_no, ParseError("expected 'label <node> <c>'"));
-      }
-      std::size_t node = 0;
-      std::size_t cls = 0;
-      TMARK_ASSIGN_OR_RETURN(node, AtLine(line_no, ParseIndex(f[1])));
-      TMARK_ASSIGN_OR_RETURN(cls, AtLine(line_no, ParseIndex(f[2])));
-      if (!seen_labels.emplace(node, cls).second) {
-        return AtLine(line_no,
-                      ParseError("duplicate label (" + std::to_string(node) +
-                                 ", " + std::to_string(cls) + ")"));
-      }
-      delta.AddLabel(node, cls);
-    } else {
-      return AtLine(line_no,
-                    ParseError("unknown directive '" + directive + "'"));
-    }
-  }
-  if (in.bad()) {
-    return DataLossError("read failed at " + LineCtx(line_no));
-  }
-  return delta;
 }
 
 }  // namespace
@@ -419,54 +257,115 @@ Status Hin::ApplyDelta(const HinDelta& delta) {
 }
 
 void SaveHinDelta(const HinDelta& delta, std::ostream& out) {
-  out << kHeader << "\n";
-  out << std::setprecision(17);
+  LineWriter w(out);
+  w << kHeader << '\n';
   for (const EdgeOp& op : delta.edge_ops()) {
-    out << KindName(op.kind) << " " << op.relation << " " << op.dst << " "
-        << op.src;
-    if (op.kind != EdgeOp::Kind::kRemove) out << " " << op.weight;
-    out << "\n";
+    w << KindName(op.kind) << ' ' << op.relation << ' ' << op.dst << ' '
+      << op.src;
+    if (op.kind != EdgeOp::Kind::kRemove) w << ' ' << op.weight;
+    w << '\n';
   }
   for (const FeatureRowUpdate& u : delta.feature_updates()) {
-    out << "feat " << u.node;
+    w << "feat " << u.node;
     for (const auto& [dim, value] : u.entries) {
-      out << " " << dim << ":" << value;
+      w << ' ' << dim << ':' << value;
     }
-    out << "\n";
+    w << '\n';
   }
   for (const LabelAdd& l : delta.label_adds()) {
-    out << "label " << l.node << " " << l.cls << "\n";
+    w << "label " << l.node << ' ' << l.cls << '\n';
   }
 }
 
 Status SaveHinDeltaToFile(const HinDelta& delta, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    return CountIoError(
-        NotFoundError("cannot open " + path + " for writing"));
-  }
-  SaveHinDelta(delta, out);
-  out.flush();
-  if (!out) {
-    return CountIoError(DataLossError("write to " + path + " failed"));
-  }
-  return Status::Ok();
+  return CountIoError(SaveTextFile(
+      path, [&](std::ostream& out) { SaveHinDelta(delta, out); }));
 }
 
 Result<HinDelta> LoadHinDelta(std::istream& in) {
-  Result<HinDelta> result = LoadHinDeltaImpl(in);
-  if (!result.ok()) CountIoError(result.status());
-  return result;
+  HinDelta delta;
+  // Batch-level duplicate detection happens while parsing — a duplicate op
+  // in one file is a malformed file (kParseError), whereas a duplicate fed
+  // through the builder API surfaces later as kInvalidArgument in Validate.
+  std::set<std::tuple<std::size_t, std::size_t, std::size_t>> seen_edges;
+  std::set<std::size_t> seen_feat_nodes;
+  std::set<std::pair<std::size_t, std::size_t>> seen_labels;
+
+  const Status parsed = ForEachRecord(
+      in, kHeader,
+      [&](std::size_t, std::string_view,
+          const std::vector<std::string_view>& f) -> Status {
+        const std::string directive(f[0]);
+        if (directive == "add_edge" || directive == "reweight_edge" ||
+            directive == "remove_edge") {
+          const bool weighted = directive != "remove_edge";
+          if (f.size() != (weighted ? 5u : 4u)) {
+            return ParseError("expected '" + directive + " <k> <dst> <src>" +
+                              (weighted ? " <w>'" : "'"));
+          }
+          EdgeOp op{};
+          TMARK_ASSIGN_OR_RETURN(op.relation, ParseIndex(f[1]));
+          TMARK_ASSIGN_OR_RETURN(op.dst, ParseIndex(f[2]));
+          TMARK_ASSIGN_OR_RETURN(op.src, ParseIndex(f[3]));
+          if (weighted) {
+            TMARK_ASSIGN_OR_RETURN(op.weight, ParsePositiveFiniteDouble(f[4]));
+          }
+          if (!seen_edges.emplace(op.relation, op.dst, op.src).second) {
+            return ParseError("duplicate edge op on " + EdgeKey(op));
+          }
+          if (directive == "add_edge") {
+            delta.AddEdge(op.relation, op.src, op.dst, op.weight);
+          } else if (weighted) {
+            delta.ReweightEdge(op.relation, op.src, op.dst, op.weight);
+          } else {
+            delta.RemoveEdge(op.relation, op.src, op.dst);
+          }
+        } else if (directive == "feat") {
+          if (f.size() < 2) {
+            return ParseError("expected 'feat <node> <dim>:<value> ...'");
+          }
+          TMARK_ASSIGN_OR_RETURN(const std::size_t node, ParseIndex(f[1]));
+          if (!seen_feat_nodes.insert(node).second) {
+            return ParseError("duplicate feat row for node " +
+                              std::to_string(node));
+          }
+          std::vector<std::pair<std::size_t, double>> entries;
+          std::set<std::size_t> seen_dims;
+          for (std::size_t t = 2; t < f.size(); ++t) {
+            TMARK_ASSIGN_OR_RETURN(const auto entry, ParseFeatureEntry(f[t]));
+            if (!seen_dims.insert(entry.first).second) {
+              return ParseError("duplicate feature dim " +
+                                std::to_string(entry.first));
+            }
+            entries.push_back(entry);
+          }
+          delta.UpdateFeatureRow(node, std::move(entries));
+        } else if (directive == "label") {
+          if (f.size() != 3) return ParseError("expected 'label <node> <c>'");
+          TMARK_ASSIGN_OR_RETURN(const std::size_t node, ParseIndex(f[1]));
+          TMARK_ASSIGN_OR_RETURN(const std::size_t cls, ParseIndex(f[2]));
+          if (!seen_labels.emplace(node, cls).second) {
+            return ParseError("duplicate label (" + std::to_string(node) +
+                              ", " + std::to_string(cls) + ")");
+          }
+          delta.AddLabel(node, cls);
+        } else {
+          return ParseError("unknown directive '" + directive + "'");
+        }
+        return Status::Ok();
+      });
+  if (!parsed.ok()) return CountIoError(parsed);
+  return delta;
 }
 
 Result<HinDelta> LoadHinDeltaFromFile(const std::string& path) {
+  obs::TraceSpan span("hin_delta.load");
   std::ifstream in(path);
-  if (!in) {
-    return CountIoError(NotFoundError("cannot open " + path));
-  }
-  Result<HinDelta> result = LoadHinDeltaImpl(in);
+  if (!in) return CountIoError(NotFoundError("cannot open " + path));
+  Result<HinDelta> result = LoadHinDelta(in);
   if (!result.ok()) {
-    return CountIoError(result.status().WithContext(path));
+    // Already counted by LoadHinDelta; just attach the path context.
+    return result.status().WithContext(path);
   }
   return result;
 }

@@ -1,23 +1,26 @@
 #include "tmark/hin/hin_io.h"
 
-#include <cctype>
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
-#include <iomanip>
-#include <ostream>
-#include <set>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "tmark/common/line_reader.h"
 #include "tmark/common/strict_parse.h"
-#include "tmark/common/string_util.h"
 #include "tmark/hin/hin_builder.h"
 #include "tmark/obs/metrics.h"
+#include "tmark/obs/trace.h"
 
 namespace tmark::hin {
 namespace {
 
 constexpr char kHeader[] = "# tmark-hin v1";
+
+using obs::CountIoError;
 
 /// Upper bound on the declared node count / feature dimension: caps the
 /// memory a hostile header line can make the loader allocate before any
@@ -25,321 +28,257 @@ constexpr char kHeader[] = "# tmark-hin v1";
 /// size; these two directives are not).
 constexpr std::size_t kMaxDeclaredDim = std::size_t{1} << 26;  // 67M
 
-/// Splits a stripped line on runs of ASCII whitespace.
-std::vector<std::string> Fields(const std::string& line) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[i]))) {
-      ++i;
-    }
-    std::size_t j = i;
-    while (j < line.size() &&
-           !std::isspace(static_cast<unsigned char>(line[j]))) {
-      ++j;
-    }
-    if (j > i) out.push_back(line.substr(i, j - i));
-    i = j;
-  }
-  return out;
+/// One `edge` line, endpoints clamped to 32 bits: a clamped value stays out
+/// of range (kMaxDeclaredDim), and the endpoint error omits the value.
+struct EdgeRec {
+  std::size_t k;
+  std::uint32_t dst, src;
+  double w;
+  std::size_t line;
+};
+
+/// A class of a `label` line (value 1) or a <dim>:<value> of a `feat` line.
+/// A bare `label <node>` or `feat <node>` is one record with a NaN value,
+/// which no token parses to: no index, but its node is still checked.
+struct NodeRec {
+  std::size_t node, index;
+  double value;
+  std::size_t line;
+};
+
+bool EdgeKeyLess(const EdgeRec& a, const EdgeRec& b) {
+  return std::tie(a.k, a.dst, a.src, a.line) <
+         std::tie(b.k, b.dst, b.src, b.line);
 }
 
-std::string LineCtx(std::size_t line_no) {
-  return "line " + std::to_string(line_no);
-}
-
-Status AtLine(std::size_t line_no, const Status& status) {
-  return status.WithContext(LineCtx(line_no));
-}
-
-template <typename T>
-Result<T> AtLine(std::size_t line_no, Result<T> result) {
-  if (result.ok()) return result;
-  return result.status().WithContext(LineCtx(line_no));
-}
-
-/// Records the failure in the io.errors{code} counters (obs is a no-op
-/// branch while the metrics registry is disabled).
-Status CountIoError(Status status) {
-  if (!status.ok()) {
-    obs::IncrCounter("io.errors");
-    obs::IncrCounter(std::string("io.errors.") +
-                     std::string(StatusCodeMetricSuffix(status.code())));
-  }
-  return status;
-}
-
-Result<Hin> LoadHinImpl(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line) || Strip(line) != kHeader) {
-    return ParseError(std::string("line 1: missing '") + kHeader +
-                      "' header");
-  }
-  std::size_t line_no = 1;
-  std::size_t num_nodes = 0;
-  std::size_t feature_dim = 0;
-  bool have_nodes = false;
-  bool have_dim = false;
-  std::vector<std::string> relation_names;
-  std::vector<std::string> class_names;
-  struct EdgeRec {
-    std::size_t k, dst, src;
-    double w;
-    std::size_t line;
+Result<Hin> LoadHinImpl(std::istream& in, LineStats* stats) {
+  std::size_t num_nodes = 0, feature_dim = 0;
+  bool have_nodes = false, have_dim = false;
+  std::vector<std::string> relation_names, class_names;
+  std::vector<EdgeRec> edges;
+  std::vector<NodeRec> labels, feats;
+  const auto clamp = [](std::size_t v) {
+    return static_cast<std::uint32_t>(std::min<std::size_t>(v, UINT32_MAX));
   };
-  std::vector<EdgeRec> edge_recs;
-  struct LabelRec {
-    std::size_t node;
-    std::vector<std::size_t> classes;
-    std::size_t line;
-  };
-  std::vector<LabelRec> label_recs;
-  struct FeatRec {
-    std::size_t node;
-    std::vector<std::pair<std::size_t, double>> entries;
-    std::size_t line;
-  };
-  std::vector<FeatRec> feat_recs;
 
-  while (std::getline(in, line)) {
-    ++line_no;
-    const std::string stripped = Strip(line);
-    if (stripped.empty() || stripped[0] == '#') continue;
-    const std::vector<std::string> f = Fields(stripped);
-    const std::string& directive = f[0];
-    if (directive == "nodes" || directive == "feature_dim") {
-      const bool is_nodes = directive == "nodes";
-      if (f.size() != 2) {
-        return AtLine(line_no, ParseError("expected '" + directive + " <n>'"));
-      }
-      if (is_nodes ? have_nodes : have_dim) {
-        return AtLine(line_no,
-                      ParseError("duplicate '" + directive + "' directive"));
-      }
-      TMARK_ASSIGN_OR_RETURN(const std::size_t value,
-                             AtLine(line_no, ParseIndex(f[1])));
-      if (value > kMaxDeclaredDim) {
-        return AtLine(line_no, ParseError(directive + " " + f[1] +
-                                          " exceeds the supported maximum"));
-      }
-      (is_nodes ? num_nodes : feature_dim) = value;
-      (is_nodes ? have_nodes : have_dim) = true;
-    } else if (directive == "relation" || directive == "class") {
-      const std::string name = Strip(stripped.substr(directive.size()));
-      if (name.empty()) {
-        return AtLine(line_no, ParseError("empty " + directive + " name"));
-      }
-      (directive == "relation" ? relation_names : class_names)
-          .push_back(name);
-    } else if (directive == "edge") {
-      if (f.size() != 5) {
-        return AtLine(line_no,
-                      ParseError("expected 'edge <k> <dst> <src> <w>'"));
-      }
-      EdgeRec e{};
-      TMARK_ASSIGN_OR_RETURN(e.k, AtLine(line_no, ParseIndex(f[1])));
-      TMARK_ASSIGN_OR_RETURN(e.dst, AtLine(line_no, ParseIndex(f[2])));
-      TMARK_ASSIGN_OR_RETURN(e.src, AtLine(line_no, ParseIndex(f[3])));
-      TMARK_ASSIGN_OR_RETURN(e.w,
-                             AtLine(line_no, ParsePositiveFiniteDouble(f[4])));
-      e.line = line_no;
-      edge_recs.push_back(e);
-    } else if (directive == "label") {
-      if (f.size() < 2) {
-        return AtLine(line_no,
-                      ParseError("expected 'label <node> [<c> ...]'"));
-      }
-      LabelRec rec{};
-      TMARK_ASSIGN_OR_RETURN(rec.node, AtLine(line_no, ParseIndex(f[1])));
-      for (std::size_t t = 2; t < f.size(); ++t) {
-        TMARK_ASSIGN_OR_RETURN(const std::size_t c,
-                               AtLine(line_no, ParseIndex(f[t])));
-        rec.classes.push_back(c);
-      }
-      rec.line = line_no;
-      label_recs.push_back(std::move(rec));
-    } else if (directive == "feat") {
-      if (f.size() < 2) {
-        return AtLine(
-            line_no, ParseError("expected 'feat <node> <dim>:<value> ...'"));
-      }
-      FeatRec rec{};
-      TMARK_ASSIGN_OR_RETURN(rec.node, AtLine(line_no, ParseIndex(f[1])));
-      for (std::size_t t = 2; t < f.size(); ++t) {
-        const std::string& tok = f[t];
-        const std::size_t colon = tok.find(':');
-        if (colon == std::string::npos) {
-          return AtLine(line_no, ParseError("malformed feat token '" + tok +
-                                            "' (expected <dim>:<value>)"));
+  // Tokens first: the first malformed one, in file order, wins.
+  TMARK_RETURN_IF_ERROR(ForEachRecord(
+      in, kHeader,
+      [&](std::size_t line_no, std::string_view stripped,
+          const std::vector<std::string_view>& f) -> Status {
+        const std::string directive(f[0]);
+        if (directive == "edge") {
+          if (f.size() != 5) {
+            return ParseError("expected 'edge <k> <dst> <src> <w>'");
+          }
+          EdgeRec e{};
+          TMARK_ASSIGN_OR_RETURN(e.k, ParseIndex(f[1]));
+          TMARK_ASSIGN_OR_RETURN(const std::size_t dst, ParseIndex(f[2]));
+          TMARK_ASSIGN_OR_RETURN(const std::size_t src, ParseIndex(f[3]));
+          TMARK_ASSIGN_OR_RETURN(e.w, ParsePositiveFiniteDouble(f[4]));
+          e.dst = clamp(dst);
+          e.src = clamp(src);
+          e.line = line_no;
+          edges.push_back(e);
+        } else if (directive == "feat") {
+          if (f.size() < 2) {
+            return ParseError("expected 'feat <node> <dim>:<value> ...'");
+          }
+          TMARK_ASSIGN_OR_RETURN(const std::size_t node, ParseIndex(f[1]));
+          if (f.size() == 2) feats.push_back({node, 0, std::nan(""), line_no});
+          for (std::size_t t = 2; t < f.size(); ++t) {
+            TMARK_ASSIGN_OR_RETURN(const auto entry, ParseFeatureEntry(f[t]));
+            feats.push_back({node, entry.first, entry.second, line_no});
+          }
+        } else if (directive == "label") {
+          if (f.size() < 2) {
+            return ParseError("expected 'label <node> [<c> ...]'");
+          }
+          TMARK_ASSIGN_OR_RETURN(const std::size_t node, ParseIndex(f[1]));
+          if (f.size() == 2) labels.push_back({node, 0, std::nan(""), line_no});
+          for (std::size_t t = 2; t < f.size(); ++t) {
+            TMARK_ASSIGN_OR_RETURN(const std::size_t c, ParseIndex(f[t]));
+            labels.push_back({node, c, 1.0, line_no});
+          }
+        } else if (directive == "nodes" || directive == "feature_dim") {
+          const bool is_nodes = directive == "nodes";
+          if (f.size() != 2) {
+            return ParseError("expected '" + directive + " <n>'");
+          }
+          if (is_nodes ? have_nodes : have_dim) {
+            return ParseError("duplicate '" + directive + "' directive");
+          }
+          TMARK_ASSIGN_OR_RETURN(const std::size_t value, ParseIndex(f[1]));
+          if (value > kMaxDeclaredDim) {
+            return ParseError(directive + " " + std::string(f[1]) +
+                              " exceeds the supported maximum");
+          }
+          (is_nodes ? num_nodes : feature_dim) = value;
+          (is_nodes ? have_nodes : have_dim) = true;
+        } else if (directive == "relation" || directive == "class") {
+          const std::string_view name =
+              StripSpace(stripped.substr(directive.size()));
+          if (name.empty()) return ParseError("empty " + directive + " name");
+          (directive == "relation" ? relation_names : class_names)
+              .emplace_back(name);
+        } else {
+          return ParseError("unknown directive '" + directive + "'");
         }
-        TMARK_ASSIGN_OR_RETURN(
-            const std::size_t dim,
-            AtLine(line_no, ParseIndex(tok.substr(0, colon))));
-        TMARK_ASSIGN_OR_RETURN(
-            const double value,
-            AtLine(line_no, ParseFiniteDouble(tok.substr(colon + 1))));
-        if (value < 0.0) {
-          return AtLine(line_no,
-                        ParseError("negative feature value in '" + tok +
-                                   "' (features are non-negative counts)"));
-        }
-        rec.entries.emplace_back(dim, value);
-      }
-      rec.line = line_no;
-      feat_recs.push_back(std::move(rec));
-    } else {
-      return AtLine(line_no, ParseError("unknown directive '" + directive +
-                                        "'"));
-    }
-  }
-  if (in.bad()) {
-    return DataLossError("read failed at " + LineCtx(line_no));
-  }
+        return Status::Ok();
+      },
+      stats));
   if (!have_nodes || !have_dim) {
     return ParseError("file missing nodes/feature_dim directives");
   }
 
-  // Cross-record validation: every index is checked against the declared
-  // shape here (directives may arrive in any order), so the builder calls
-  // below cannot violate a contract.
-  std::set<std::tuple<std::size_t, std::size_t, std::size_t>> seen_edges;
-  for (const EdgeRec& e : edge_recs) {
-    if (e.k >= relation_names.size()) {
-      return AtLine(e.line,
-                    ParseError("edge relation " + std::to_string(e.k) +
-                               " out of range [0, " +
-                               std::to_string(relation_names.size()) + ")"));
+  // Then every index against the declared shape (directives may come in
+  // any order), so the builder calls below cannot violate a contract.
+  // Edges first: the error of the smallest line among out-of-range edges
+  // and repeats of an in-range (k, dst, src), where a file-order scan
+  // stops. Sorted by (k, dst, src, line), a repeat is any record after the
+  // first of its key.
+  if (!std::is_sorted(edges.begin(), edges.end(), EdgeKeyLess)) {
+    std::sort(edges.begin(), edges.end(), EdgeKeyLess);
+  }
+  Status edge_error;
+  std::size_t error_line = SIZE_MAX;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const EdgeRec& e = edges[i];
+    if (e.line >= error_line) continue;
+    Status error =
+        CheckIndexBound(e.k, relation_names.size(), "edge relation");
+    if (error.ok() && (e.dst >= num_nodes || e.src >= num_nodes)) {
+      error = ParseError("edge endpoint out of range [0, " +
+                         std::to_string(num_nodes) + ")");
     }
-    if (e.dst >= num_nodes || e.src >= num_nodes) {
-      return AtLine(e.line, ParseError("edge endpoint out of range [0, " +
-                                       std::to_string(num_nodes) + ")"));
+    if (error.ok() && i > 0 && edges[i - 1].k == e.k &&
+        edges[i - 1].dst == e.dst && edges[i - 1].src == e.src) {
+      error = ParseError("duplicate edge (" + std::to_string(e.k) + ", " +
+                         std::to_string(e.dst) + ", " +
+                         std::to_string(e.src) + ")");
     }
-    if (!seen_edges.emplace(e.k, e.dst, e.src).second) {
-      return AtLine(e.line,
-                    ParseError("duplicate edge (" + std::to_string(e.k) +
-                               ", " + std::to_string(e.dst) + ", " +
-                               std::to_string(e.src) + ")"));
+    if (!error.ok()) {
+      edge_error = error;
+      error_line = e.line;
     }
   }
-  for (const LabelRec& rec : label_recs) {
-    if (rec.node >= num_nodes) {
-      return AtLine(rec.line,
-                    ParseError("label node " + std::to_string(rec.node) +
-                               " out of range [0, " +
-                               std::to_string(num_nodes) + ")"));
+  if (!edge_error.ok()) return AtLine(error_line, edge_error);
+  const auto check = [&](const std::vector<NodeRec>& recs,
+                         const char* node_what, std::size_t bound,
+                         const char* index_what) -> Status {
+    for (const NodeRec& r : recs) {
+      TMARK_RETURN_IF_ERROR(
+          AtLine(r.line, CheckIndexBound(r.node, num_nodes, node_what)));
+      if (std::isnan(r.value)) continue;
+      TMARK_RETURN_IF_ERROR(
+          AtLine(r.line, CheckIndexBound(r.index, bound, index_what)));
     }
-    for (std::size_t c : rec.classes) {
-      if (c >= class_names.size()) {
-        return AtLine(rec.line,
-                      ParseError("label class " + std::to_string(c) +
-                                 " out of range [0, " +
-                                 std::to_string(class_names.size()) + ")"));
-      }
-    }
-  }
-  for (const FeatRec& rec : feat_recs) {
-    if (rec.node >= num_nodes) {
-      return AtLine(rec.line,
-                    ParseError("feat node " + std::to_string(rec.node) +
-                               " out of range [0, " +
-                               std::to_string(num_nodes) + ")"));
-    }
-    for (const auto& [dim, value] : rec.entries) {
-      (void)value;
-      if (dim >= feature_dim) {
-        return AtLine(rec.line,
-                      ParseError("feature dim " + std::to_string(dim) +
-                                 " out of range [0, " +
-                                 std::to_string(feature_dim) + ")"));
-      }
-    }
-  }
+    return Status::Ok();
+  };
+  TMARK_RETURN_IF_ERROR(
+      check(labels, "label node", class_names.size(), "label class"));
+  TMARK_RETURN_IF_ERROR(check(feats, "feat node", feature_dim, "feature dim"));
 
+  // Sorted and unique, the edges need no sort in FromTriplets.
   HinBuilder b(num_nodes, feature_dim);
   for (const std::string& name : relation_names) b.AddRelation(name);
   for (const std::string& name : class_names) b.AddClass(name);
-  for (const EdgeRec& e : edge_recs) b.AddDirectedEdge(e.k, e.src, e.dst, e.w);
-  for (const LabelRec& rec : label_recs) {
-    for (std::size_t c : rec.classes) b.SetLabel(rec.node, c);
+  for (std::size_t i = 0, k = 0; k < relation_names.size(); ++k) {
+    const std::size_t first = i;
+    while (i < edges.size() && edges[i].k == k) ++i;
+    b.ReserveEdges(k, i - first);
   }
-  for (const FeatRec& rec : feat_recs) {
-    for (const auto& [dim, value] : rec.entries) {
-      b.AddFeature(rec.node, dim, value);
-    }
+  for (const EdgeRec& e : edges) b.AddDirectedEdge(e.k, e.src, e.dst, e.w);
+  edges = {};
+  for (const NodeRec& r : labels) {
+    if (!std::isnan(r.value)) b.SetLabel(r.node, r.index);
   }
+  b.ReserveFeatures(feats.size());
+  for (const NodeRec& r : feats) {
+    if (!std::isnan(r.value)) b.AddFeature(r.node, r.index, r.value);
+  }
+  feats = {};
   return std::move(b).Build();
 }
 
 }  // namespace
 
+Result<std::pair<std::size_t, double>> ParseFeatureEntry(
+    std::string_view token) {
+  const std::size_t colon = token.find(':');
+  if (colon == std::string_view::npos) {
+    return ParseError("malformed feat token '" + std::string(token) +
+                      "' (expected <dim>:<value>)");
+  }
+  TMARK_ASSIGN_OR_RETURN(const std::size_t dim,
+                         ParseIndex(token.substr(0, colon)));
+  TMARK_ASSIGN_OR_RETURN(const double value,
+                         ParseFiniteDouble(token.substr(colon + 1)));
+  if (value < 0.0) {
+    return ParseError("negative feature value in '" + std::string(token) +
+                      "' (features are non-negative counts)");
+  }
+  return std::make_pair(dim, value);
+}
+
 void SaveHin(const Hin& hin, std::ostream& out) {
-  out << kHeader << "\n";
-  out << "nodes " << hin.num_nodes() << "\n";
-  out << "feature_dim " << hin.feature_dim() << "\n";
+  LineWriter w(out);
+  w << kHeader << '\n';
+  w << "nodes " << hin.num_nodes() << '\n';
+  w << "feature_dim " << hin.feature_dim() << '\n';
   for (std::size_t k = 0; k < hin.num_relations(); ++k) {
-    out << "relation " << hin.relation_name(k) << "\n";
+    w << "relation " << hin.relation_name(k) << '\n';
   }
   for (std::size_t c = 0; c < hin.num_classes(); ++c) {
-    out << "class " << hin.class_name(c) << "\n";
+    w << "class " << hin.class_name(c) << '\n';
   }
-  out << std::setprecision(17);
   for (std::size_t k = 0; k < hin.num_relations(); ++k) {
     const la::SparseMatrix& r = hin.relation(k);
     for (std::size_t i = 0; i < r.rows(); ++i) {
       for (std::size_t p = r.row_ptr()[i]; p < r.row_ptr()[i + 1]; ++p) {
-        out << "edge " << k << " " << i << " " << r.col_idx()[p] << " "
-            << r.values()[p] << "\n";
+        w << "edge " << k << ' ' << i << ' ' << r.col_idx()[p] << ' '
+          << r.values()[p] << '\n';
       }
     }
   }
   for (std::size_t node = 0; node < hin.num_nodes(); ++node) {
     const std::vector<std::uint32_t>& ls = hin.labels(node);
     if (ls.empty()) continue;
-    out << "label " << node;
-    for (std::uint32_t c : ls) out << " " << c;
-    out << "\n";
+    w << "label " << node;
+    for (std::uint32_t c : ls) w << ' ' << c;
+    w << '\n';
   }
   const la::SparseMatrix& f = hin.features();
   for (std::size_t node = 0; node < f.rows(); ++node) {
     if (f.row_ptr()[node] == f.row_ptr()[node + 1]) continue;
-    out << "feat " << node;
+    w << "feat " << node;
     for (std::size_t p = f.row_ptr()[node]; p < f.row_ptr()[node + 1]; ++p) {
-      out << " " << f.col_idx()[p] << ":" << f.values()[p];
+      w << ' ' << f.col_idx()[p] << ':' << f.values()[p];
     }
-    out << "\n";
+    w << '\n';
   }
 }
 
 Status SaveHinToFile(const Hin& hin, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    return CountIoError(
-        NotFoundError("cannot open " + path + " for writing"));
-  }
-  SaveHin(hin, out);
-  out.flush();
-  if (!out) {
-    return CountIoError(DataLossError("write to " + path + " failed"));
-  }
-  return Status::Ok();
+  return CountIoError(
+      SaveTextFile(path, [&](std::ostream& out) { SaveHin(hin, out); }));
 }
 
 Result<Hin> LoadHin(std::istream& in) {
-  Result<Hin> result = LoadHinImpl(in);
+  Result<Hin> result = LoadHinImpl(in, nullptr);
   if (!result.ok()) CountIoError(result.status());
   return result;
 }
 
 Result<Hin> LoadHinFromFile(const std::string& path) {
+  obs::TraceSpan span("hin_io.load");
   std::ifstream in(path);
-  if (!in) {
-    return CountIoError(NotFoundError("cannot open " + path));
-  }
-  Result<Hin> result = LoadHinImpl(in);
-  if (!result.ok()) {
-    return CountIoError(result.status().WithContext(path));
-  }
+  if (!in) return CountIoError(NotFoundError("cannot open " + path));
+  LineStats stats;
+  Result<Hin> result = LoadHinImpl(in, &stats);
+  if (!result.ok()) return CountIoError(result.status().WithContext(path));
+  span.AddField("bytes", stats.bytes);
+  span.AddField("lines", stats.lines);
   return result;
 }
 

@@ -1,8 +1,11 @@
 #ifndef TMARK_HIN_HIN_IO_H_
 #define TMARK_HIN_HIN_IO_H_
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "tmark/common/status.h"
 #include "tmark/hin/hin.h"
@@ -39,6 +42,12 @@ Result<Hin> LoadHin(std::istream& in);
 /// LoadHin from `path`; kNotFound when the file cannot be opened, and the
 /// path is prepended as context to any parse error.
 Result<Hin> LoadHinFromFile(const std::string& path);
+
+/// Parses a `feat` token <dim>:<value> with a finite, non-negative value,
+/// as the tmark-hin and tmark-delta parsers read it; kParseError naming
+/// the token otherwise.
+Result<std::pair<std::size_t, double>> ParseFeatureEntry(
+    std::string_view token);
 
 }  // namespace tmark::hin
 

@@ -37,10 +37,17 @@ SparseMatrix SparseMatrix::FromTriplets(std::size_t rows, std::size_t cols,
                                 << ") out of bounds for " << rows << "x"
                                 << cols);
   }
-  std::sort(triplets.begin(), triplets.end(),
-            [](const Triplet& a, const Triplet& b) {
-              return a.row != b.row ? a.row < b.row : a.col < b.col;
-            });
+  const auto before = [](const Triplet& a, const Triplet& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  };
+  // Input strictly increasing in (row, col) is in CSR order with no
+  // duplicate; anything else is sorted, so duplicates sum in sorted order.
+  if (std::adjacent_find(triplets.begin(), triplets.end(),
+                         [&](const Triplet& a, const Triplet& b) {
+                           return !before(a, b);
+                         }) != triplets.end()) {
+    std::sort(triplets.begin(), triplets.end(), before);
+  }
   // Count unique entries per row while summing duplicates. Offsets assemble
   // in a plain 64-bit vector; IndexArray::FromOffsets then picks the
   // narrowest storage that holds nnz.

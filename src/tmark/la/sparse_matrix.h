@@ -47,7 +47,8 @@ class SparseMatrix {
   /// All-zero rows x cols matrix.
   SparseMatrix(std::size_t rows, std::size_t cols);
 
-  /// Assembles from triplets, summing duplicates.
+  /// Assembles from triplets, summing duplicates. Input already strictly
+  /// increasing in (row, col) is taken as is, without a sort.
   static SparseMatrix FromTriplets(std::size_t rows, std::size_t cols,
                                    std::vector<Triplet> triplets);
 

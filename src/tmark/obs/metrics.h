@@ -21,6 +21,8 @@
 #include <string_view>
 #include <vector>
 
+#include "tmark/common/status.h"
+
 namespace tmark::obs {
 
 /// Monotonically increasing integer metric.
@@ -194,6 +196,16 @@ inline void AppendSeries(std::string_view name, double value) {
   Registry& registry = Registry::Instance();
   if (!registry.enabled()) return;
   registry.GetSeries(name).Append(value);
+}
+
+/// Counts a failed status of an I/O boundary in the `io.errors` and
+/// `io.errors.<code>` counters; returns it unchanged.
+inline Status CountIoError(Status status) {
+  if (status.ok()) return status;
+  IncrCounter("io.errors");
+  IncrCounter(std::string("io.errors.") +
+              std::string(StatusCodeMetricSuffix(status.code())));
+  return status;
 }
 
 }  // namespace tmark::obs

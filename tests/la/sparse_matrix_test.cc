@@ -47,6 +47,32 @@ TEST(SparseMatrixTest, FromTripletsSumsDuplicates) {
   EXPECT_DOUBLE_EQ(m.At(0, 1), 3.5);
 }
 
+TEST(SparseMatrixTest, FromTripletsTakesShuffledAndSortedInputAlike) {
+  Rng rng(11);
+  std::vector<Triplet> sorted;
+  for (std::uint32_t r = 0; r < 40; ++r) {
+    for (std::uint32_t c = 0; c < 30; ++c) {
+      if (rng.Bernoulli(0.2)) sorted.push_back({r, c, rng.Uniform(0.1, 2.0)});
+    }
+  }
+  std::vector<Triplet> shuffled = sorted;
+  rng.Shuffle(&shuffled);
+  const SparseMatrix a = SparseMatrix::FromTriplets(40, 30, sorted);
+  const SparseMatrix b = SparseMatrix::FromTriplets(40, 30, shuffled);
+  EXPECT_EQ(a.row_ptr().ToVector(), b.row_ptr().ToVector());
+  EXPECT_EQ(a.col_idx(), b.col_idx());
+  EXPECT_EQ(a.values(), b.values());
+  EXPECT_EQ(a.NumNonZeros(), sorted.size());
+}
+
+TEST(SparseMatrixTest, FromTripletsSumsDuplicatesInSortedInput) {
+  const SparseMatrix m = SparseMatrix::FromTriplets(
+      2, 2, {{0, 0, 0.1}, {0, 0, 0.2}, {0, 0, 0.3}, {1, 1, 1.0}});
+  EXPECT_EQ(m.NumNonZeros(), 2u);
+  EXPECT_EQ(m.At(0, 0), (0.0 + 0.1 + 0.2) + 0.3);
+  EXPECT_EQ(m.At(1, 1), 1.0);
+}
+
 TEST(SparseMatrixTest, FromTripletsOutOfBoundsThrows) {
   EXPECT_THROW(SparseMatrix::FromTriplets(2, 2, {{2, 0, 1.0}}), CheckError);
 }
